@@ -6,15 +6,9 @@ import (
 )
 
 // coreNode is the reconfiguration protocol of Section 4 in event-driven
-// state-machine form: one sim.Handler per node, no goroutine. It is a
-// faithful transcription of the blocking-coroutine epoch program in
-// network.go (runEpoch / spawnJoiner), segment by segment — the switch
-// below dispatches on p, the 1-based round within the current epoch,
-// and each case performs exactly the work the coroutine performs
-// between the corresponding NextRound calls, in the same order, with
-// the same randomness draws. Config.Coroutine selects which form runs;
-// the two must stay in lockstep (the byte-identity regression tests
-// compare full epoch traces across both).
+// state-machine form: one sim.Handler per node, no goroutine. The
+// switch below dispatches on p, the 1-based round within the current
+// epoch; each case is one round's receive, compute and send.
 //
 // Epoch layout for a member (R = 2T+2K+6 rounds, see EpochRounds):
 //
@@ -66,7 +60,7 @@ type coreNode struct {
 	newPred  []int32
 }
 
-// nextSample mirrors the coroutine's placement sampler: consume the
+// nextSample is the Phase 1 placement sampler: consume the
 // rapid-sampling budget in order, falling back to a uniformly chosen
 // reuse (a counted FailBudget) when it runs out.
 func (m *coreNode) nextSample(ctx *sim.Ctx) int {

@@ -18,11 +18,10 @@ func (nw *Network) Round() int { return nw.net.Round() }
 // CorruptState implements fault.Corrupter: it scrambles one member's
 // live successor pointer in one Hamilton cycle, redirecting it at a
 // hash-selected wrong member. The write goes through the shared backing
-// array the node goroutine's local slice aliases (adopted at the last
+// array the node handler's local slice aliases (adopted at the last
 // commit), so — unlike CorruptTopologyForTest — the corruption reaches
 // the live protocol state, not just the driver's bookkeeping. Must be
-// called between epochs, when every node goroutine is parked at the
-// round barrier.
+// called between epochs, when no node handler is running.
 func (nw *Network) CorruptState(pick uint64) string {
 	n := len(nw.members)
 	nc := nw.cfg.D / 2
@@ -117,7 +116,7 @@ func (nw *Network) SuspectMembers() []int {
 // first self-loop, dead reference or early revisit, the unreached
 // members are appended in member order, and the successor/predecessor
 // arrays are rewritten in place along the result. The writes go through
-// the shared backing arrays the parked node goroutines alias, so the
+// the shared backing arrays the node handlers alias, so the
 // protocol resumes with the quarantined pointers — the driver-level
 // analogue of a node dropping links it has detected as inconsistent
 // before re-running the join protocol. Returns the number of pointers

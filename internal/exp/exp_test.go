@@ -1,13 +1,24 @@
 package exp
 
 import (
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
+// updateGolden rewrites the committed quick tables instead of comparing
+// against them: go test ./internal/exp -run TestAllExperimentsQuick -update.
+// Regenerating them is a deliberate step, to be reviewed like any other
+// change to a recorded result.
+var updateGolden = flag.Bool("update", false, "rewrite testdata/quick golden tables")
+
 // TestAllExperimentsQuick runs every experiment driver in quick mode
-// and sanity-checks the emitted tables. This doubles as an integration
-// test across all subsystems.
+// and compares each wall-clock-masked table with its committed golden
+// file in testdata/quick/<ID>.txt. This doubles as an integration test
+// across all subsystems, and pins every quick table to a recorded
+// expectation rather than only to the current code run a second way.
 func TestAllExperimentsQuick(t *testing.T) {
 	for _, e := range All() {
 		e := e
@@ -19,6 +30,24 @@ func TestAllExperimentsQuick(t *testing.T) {
 			out := tbl.String()
 			if !strings.Contains(out, e.ID) {
 				t.Fatalf("%s table title missing id:\n%s", e.ID, out)
+			}
+			got := MaskWallClock(tbl).String()
+			path := filepath.Join("testdata", "quick", e.ID+".txt")
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if got != string(want) {
+				t.Fatalf("%s quick table differs from %s:\n--- got\n%s\n--- want\n%s", e.ID, path, got, want)
 			}
 		})
 	}

@@ -219,22 +219,11 @@ func pointerDoublingRounds(seed uint64, n, shards int) int {
 	horizon := int(math.Ceil(math.Log2(float64(n)))) + 2
 	for v := 0; v < n; v++ {
 		v := v
-		net.Spawn(sim.NodeID(v+1), func(ctx *sim.Ctx) {
-			known := map[int32]bool{int32((v + 1) % n): true, int32((v + n - 1) % n): true}
-			for round := 1; round <= horizon; round++ {
-				// Send the full contact list to every contact; once
-				// everything is known nothing new can be learned, so
-				// stop contributing to the quadratic blow-up.
-				if len(known) < n-1 {
-					list := make([]int32, 0, len(known))
-					for w := range known {
-						list = append(list, w)
-					}
-					for w := range known {
-						ctx.Send(sim.NodeID(int(w)+1), intro{IDs: list}, len(list)*idBits)
-					}
-				}
-				inbox := ctx.NextRound()
+		known := map[int32]bool{int32((v + 1) % n): true, int32((v + n - 1) % n): true}
+		// Round r ≤ horizon sends; round r+1 folds what it brought in.
+		net.SpawnHandler(sim.NodeID(v+1), sim.HandlerFunc(func(ctx *sim.Ctx, inbox []sim.Message) bool {
+			round := ctx.Round()
+			if round > 1 {
 				for _, m := range inbox {
 					if in, ok := m.Payload.(intro); ok {
 						for _, w := range in.IDs {
@@ -245,10 +234,26 @@ func pointerDoublingRounds(seed uint64, n, shards int) int {
 					}
 				}
 				if v == 0 && found[0] == 0 && known[antipode] {
-					found[0] = round
+					found[0] = round - 1
 				}
 			}
-		})
+			if round > horizon {
+				return false
+			}
+			// Send the full contact list to every contact; once
+			// everything is known nothing new can be learned, so stop
+			// contributing to the quadratic blow-up.
+			if len(known) < n-1 {
+				list := make([]int32, 0, len(known))
+				for w := range known {
+					list = append(list, w)
+				}
+				for w := range known {
+					ctx.Send(sim.NodeID(int(w)+1), intro{IDs: list}, len(list)*idBits)
+				}
+			}
+			return true
+		}))
 	}
 	net.Run(horizon + 1)
 	net.Shutdown()

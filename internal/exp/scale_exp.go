@@ -23,26 +23,12 @@ func floodHandler(n, fanout, idBits int) sim.HandlerFunc {
 	}
 }
 
-// buildFlood populates a network with n flood nodes, as handlers by
-// default or as blocking coroutines (one adapter goroutine per node)
-// when coroutine is set. Both forms draw identically from the per-node
-// generators, so all work accounting is byte-identical across modes.
-func buildFlood(net *sim.Network, n, fanout, idBits int, coroutine bool) {
+// buildFlood populates a network with n flood nodes sharing one
+// handler.
+func buildFlood(net *sim.Network, n, fanout, idBits int) {
 	h := floodHandler(n, fanout, idBits)
 	for v := 0; v < n; v++ {
-		if coroutine {
-			net.Spawn(sim.NodeID(v+1), func(ctx *sim.Ctx) {
-				r := ctx.RNG()
-				for {
-					for j := 0; j < fanout; j++ {
-						ctx.Send(sim.NodeID(r.Intn(n)+1), nil, idBits)
-					}
-					ctx.NextRound()
-				}
-			})
-		} else {
-			net.SpawnHandler(sim.NodeID(v+1), h)
-		}
+		net.SpawnHandler(sim.NodeID(v+1), h)
 	}
 }
 
@@ -72,7 +58,7 @@ func S1ScaleFlood(o Options) *metrics.Table {
 			net.SetTracer(o.Trace.Tracer(fmt.Sprintf("%s/n%d", o.Exp, n)))
 		}
 		idBits := sim.IDBits(n)
-		buildFlood(net, n, fanout, idBits, false)
+		buildFlood(net, n, fanout, idBits)
 		net.Run(rounds)
 		net.Shutdown()
 		var msgs int
@@ -98,7 +84,7 @@ func S1ScaleFlood(o Options) *metrics.Table {
 }
 
 // S2ScaleFloodEvent measures the event-driven handler kernel at the
-// sizes the goroutine-per-node design could not reach: flood rounds on
+// sizes a goroutine-per-node design could not reach: flood rounds on
 // a single network up to n = 1,000,000 nodes. All columns except the
 // last are deterministic work-accounting quantities (bytes/node-round
 // is total sent+received communication averaged over nodes and rounds);
@@ -124,7 +110,7 @@ func S2ScaleFloodEvent(o Options) *metrics.Table {
 			net.SetTracer(o.Trace.Tracer(fmt.Sprintf("%s/n%d", o.Exp, n)))
 		}
 		idBits := sim.IDBits(n)
-		buildFlood(net, n, fanout, idBits, false)
+		buildFlood(net, n, fanout, idBits)
 		start := time.Now()
 		net.Run(rounds)
 		wall := time.Since(start)

@@ -44,23 +44,22 @@ type respBatch struct {
 
 // rapidNode is one sampling node in event-driven form: its first round
 // starts the HGraphSampler, the following 2·T() rounds feed it, and the
-// node departs once its samples are in (matching the round in which the
-// coroutine form's proc returned).
+// node departs once its samples are in.
 type rapidNode struct {
-	s       HGraphSampler
-	started bool
-	v       int
-	h       *hgraph.HGraph
-	p       HGraphParams
-	idOf    func(int) sim.NodeID
-	res     *RapidResult
-	fail    *int
+	s         HGraphSampler
+	started   bool
+	v         int
+	neighbors func(v int) []int
+	p         HGraphParams
+	idOf      func(int) sim.NodeID
+	res       *RapidResult
+	fail      *int
 }
 
 func (nd *rapidNode) OnRound(ctx *sim.Ctx, inbox []sim.Message) bool {
 	if !nd.started {
 		nd.started = true
-		nd.s.Start(ctx, nd.p, nd.v, nd.h.Neighbors(nd.v), nd.idOf, nd.fail, nil)
+		nd.s.Start(ctx, nd.p, nd.v, nd.neighbors(nd.v), nd.idOf, nd.fail, nil)
 		return true
 	}
 	if nd.s.HandleRound(ctx, inbox, nil) {
@@ -80,7 +79,13 @@ func RapidHGraph(seed uint64, h *hgraph.HGraph, p HGraphParams) *RapidResult {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	n := h.N()
+	return runRapid(seed, h.N(), p, h.Neighbors)
+}
+
+// runRapid runs Algorithm 1 over n nodes whose multigraph neighbor
+// lists (with multiplicity) neighbors returns; RapidHGraph and
+// RapidRegular differ only in where those lists come from.
+func runRapid(seed uint64, n int, p HGraphParams, neighbors func(v int) []int) *RapidResult {
 	net := sim.NewNetwork(sim.Config{Seed: seed, Shards: p.Shards, Latency: p.Latency})
 	if inj := p.Faults.Injector(); inj != nil {
 		net.SetInjector(inj)
@@ -97,7 +102,7 @@ func RapidHGraph(seed uint64, h *hgraph.HGraph, p HGraphParams) *RapidResult {
 
 	for v := 0; v < n; v++ {
 		var hnd sim.Handler = &rapidNode{
-			v: v, h: h, p: p, idOf: idOf, res: res, fail: &failures[v],
+			v: v, neighbors: neighbors, p: p, idOf: idOf, res: res, fail: &failures[v],
 		}
 		if p.Reliable.Enabled() {
 			hnd = reliable.Wrap(seed, p.Reliable, stretch, hnd)

@@ -8,6 +8,7 @@ import (
 	"overlaynet/internal/hypercube"
 	"overlaynet/internal/metrics"
 	"overlaynet/internal/rng"
+	"overlaynet/internal/sim"
 )
 
 func TestMultisetBasics(t *testing.T) {
@@ -281,6 +282,22 @@ func TestRapidHypercubeBasics(t *testing.T) {
 		if len(s) != p.Samples() {
 			t.Fatalf("node %d has %d samples, want %d", v, len(s), p.Samples())
 		}
+	}
+}
+
+// TestRapidHypercubeLatencySpread: under a latency model with spread,
+// requests and responses arrive in later iterations' rounds. The run
+// must discard them, finish in its round budget and report the lost
+// walks as failures, not index another iteration's lists.
+func TestRapidHypercubeLatencySpread(t *testing.T) {
+	p := DefaultHypercubeParams(4)
+	p.Latency = sim.Latency{Kind: sim.LatencyUniform, A: 0.5, B: 2.5}
+	res := RapidHypercube(11, p)
+	if res.Deferred == 0 || res.Failures == 0 {
+		t.Fatalf("spread run deferred %d messages with %d failures, want both > 0", res.Deferred, res.Failures)
+	}
+	if res.Rounds != p.Rounds() {
+		t.Fatalf("rounds = %d, want %d", res.Rounds, p.Rounds())
 	}
 }
 

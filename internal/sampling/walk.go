@@ -78,49 +78,51 @@ func BaselineWalkHGraph(seed uint64, h *hgraph.HGraph, k, steps int) *TokenWalkR
 
 	for v := 0; v < n; v++ {
 		v := v
-		net.Spawn(idOf(v), func(ctx *sim.Ctx) {
-			r := ctx.RNG()
-			moveToken := func(tok walkToken) {
-				e := r.Intn(d)
-				c := h.Cycle(e / 2)
-				var w int
-				if e%2 == 0 {
-					w = c.Pred(v)
-				} else {
-					w = c.Succ(v)
-				}
-				ctx.Send(idOf(w), tok, 2*idBits)
+		moveToken := func(ctx *sim.Ctx, tok walkToken) {
+			e := ctx.RNG().Intn(d)
+			c := h.Cycle(e / 2)
+			var w int
+			if e%2 == 0 {
+				w = c.Pred(v)
+			} else {
+				w = c.Succ(v)
 			}
-			for j := 0; j < k; j++ {
-				moveToken(walkToken{Origin: int32(v), Step: 1})
-			}
-			for {
-				inbox := ctx.NextRound()
-				if ctx.Round() > steps+1 {
-					// Collect answers and stop.
-					for _, m := range inbox {
-						if a, ok := m.Payload.(walkAnswer); ok {
-							res.Samples[v] = append(res.Samples[v], int(a.Endpoint))
-						}
-					}
-					return
+			ctx.Send(idOf(w), tok, 2*idBits)
+		}
+		started := false
+		net.SpawnHandler(idOf(v), sim.HandlerFunc(func(ctx *sim.Ctx, inbox []sim.Message) bool {
+			if !started {
+				started = true
+				for j := 0; j < k; j++ {
+					moveToken(ctx, walkToken{Origin: int32(v), Step: 1})
 				}
+				return true
+			}
+			if ctx.Round() > steps+1 {
+				// Collect answers and stop.
 				for _, m := range inbox {
-					switch t := m.Payload.(type) {
-					case walkToken:
-						if int(t.Step) >= steps {
-							// Walk complete: report own id to origin.
-							ctx.Send(idOf(int(t.Origin)), walkAnswer{Endpoint: int32(v)}, idBits)
-						} else {
-							t.Step++
-							moveToken(t)
-						}
-					case walkAnswer:
-						res.Samples[v] = append(res.Samples[v], int(t.Endpoint))
+					if a, ok := m.Payload.(walkAnswer); ok {
+						res.Samples[v] = append(res.Samples[v], int(a.Endpoint))
 					}
 				}
+				return false
 			}
-		})
+			for _, m := range inbox {
+				switch t := m.Payload.(type) {
+				case walkToken:
+					if int(t.Step) >= steps {
+						// Walk complete: report own id to origin.
+						ctx.Send(idOf(int(t.Origin)), walkAnswer{Endpoint: int32(v)}, idBits)
+					} else {
+						t.Step++
+						moveToken(ctx, t)
+					}
+				case walkAnswer:
+					res.Samples[v] = append(res.Samples[v], int(t.Endpoint))
+				}
+			}
+			return true
+		}))
 	}
 	net.Run(steps + 2)
 	net.Shutdown()
@@ -145,43 +147,48 @@ func BaselineWalkHypercube(seed uint64, dim, k int) *TokenWalkResult {
 
 	for v := 0; v < n; v++ {
 		v := hypercube.Vertex(v)
-		net.Spawn(idOf(int(v)), func(ctx *sim.Ctx) {
-			r := ctx.RNG()
-			// Tokens held by this node at the start of the current
-			// step; step s uses coordinate s (1-indexed).
-			type held struct{ origin int32 }
-			var mine []held
-			for j := 0; j < k; j++ {
-				mine = append(mine, held{origin: int32(v)})
-			}
-			for step := 1; step <= dim; step++ {
-				var keep []held
-				for _, t := range mine {
-					if r.Coin() {
-						ctx.Send(idOf(int(hypercube.Neighbor(v, step))), walkToken{Origin: t.origin, Step: int32(step)}, 2*idBits)
-					} else {
-						keep = append(keep, t)
-					}
-				}
-				mine = keep
-				inbox := ctx.NextRound()
+		// Tokens held by this node at the start of the current step
+		// (their origins); round s ≤ dim moves them along coordinate s,
+		// round dim+1 reports the endpoints, round dim+2 collects.
+		var mine []int32
+		for j := 0; j < k; j++ {
+			mine = append(mine, int32(v))
+		}
+		round := 0
+		net.SpawnHandler(idOf(int(v)), sim.HandlerFunc(func(ctx *sim.Ctx, inbox []sim.Message) bool {
+			round++
+			if round == dim+2 {
 				for _, m := range inbox {
-					if t, ok := m.Payload.(walkToken); ok {
-						mine = append(mine, held{origin: t.Origin})
+					if a, ok := m.Payload.(walkAnswer); ok {
+						res.Samples[int(v)] = append(res.Samples[int(v)], int(a.Endpoint))
 					}
 				}
+				return false
 			}
-			// Report endpoints to origins.
-			for _, t := range mine {
-				ctx.Send(idOf(int(t.origin)), walkAnswer{Endpoint: int32(v)}, idBits)
-			}
-			inbox := ctx.NextRound()
 			for _, m := range inbox {
-				if a, ok := m.Payload.(walkAnswer); ok {
-					res.Samples[int(v)] = append(res.Samples[int(v)], int(a.Endpoint))
+				if t, ok := m.Payload.(walkToken); ok {
+					mine = append(mine, t.Origin)
 				}
 			}
-		})
+			if round == dim+1 {
+				// Report endpoints to origins.
+				for _, origin := range mine {
+					ctx.Send(idOf(int(origin)), walkAnswer{Endpoint: int32(v)}, idBits)
+				}
+				return true
+			}
+			r := ctx.RNG()
+			var keep []int32
+			for _, origin := range mine {
+				if r.Coin() {
+					ctx.Send(idOf(int(hypercube.Neighbor(v, round))), walkToken{Origin: origin, Step: int32(round)}, 2*idBits)
+				} else {
+					keep = append(keep, origin)
+				}
+			}
+			mine = keep
+			return true
+		}))
 	}
 	net.Run(dim + 2)
 	net.Shutdown()

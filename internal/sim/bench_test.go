@@ -9,41 +9,22 @@ import (
 	"testing"
 )
 
-// floodNet builds a network of n nodes that each send fanout messages
-// per round to deterministic targets, forever.
-func floodNet(n, fanout int) *Network {
-	return floodNetShards(n, fanout, 0)
-}
-
-func floodNetShards(n, fanout, shards int) *Network {
-	net := NewNetwork(Config{Seed: 1, Shards: shards})
-	for i := 0; i < n; i++ {
-		idx := i
-		payload := any(idx) // pre-boxed so the benchmark measures the kernel
-		net.Spawn(NodeID(i+1), func(ctx *Ctx) {
-			for {
-				for j := 0; j < fanout; j++ {
-					to := NodeID((idx+j*7+1)%n + 1)
-					ctx.Send(to, payload, 32)
-				}
-				ctx.NextRound()
-			}
-		})
-	}
-	return net
-}
-
-// floodBenchHandler is floodNet's send pattern as one shared handler
-// value: per-node identity comes from the Ctx, so spawning a node costs
-// no closure or boxed payload — the per-node footprint the n=1M rows
-// measure is the kernel's own (slot + Ctx + recycled buffers).
+// floodBenchHandler is the benchmark send pattern as one shared handler
+// value: every node (or, with every > 1, every every-th node) sends
+// fanout messages per round to deterministic targets. Per-node identity
+// comes from the Ctx, so spawning a node costs no closure or boxed
+// payload — the per-node footprint the n=1M rows measure is the
+// kernel's own (slot + Ctx + recycled buffers).
 type floodBenchHandler struct {
-	n, fanout int
-	payload   any // one pre-boxed value shared by every send
+	n, fanout, every int
+	payload          any // one pre-boxed value shared by every send
 }
 
 func (h *floodBenchHandler) OnRound(ctx *Ctx, _ []Message) bool {
 	idx := int(ctx.ID()) - 1
+	if idx%h.every != 0 {
+		return true
+	}
 	for j := 0; j < h.fanout; j++ {
 		to := NodeID((idx+j*7+1)%h.n + 1)
 		ctx.Send(to, h.payload, 32)
@@ -51,12 +32,14 @@ func (h *floodBenchHandler) OnRound(ctx *Ctx, _ []Message) bool {
 	return true
 }
 
-// floodHandlerNet is floodNet with event-driven handler nodes: same
-// deterministic send pattern, but no goroutine, channel pair, or stack
-// per node.
-func floodHandlerNet(n, fanout, shards int) *Network {
+// floodNet builds a network of n nodes that each send fanout messages
+// per round to deterministic targets, forever.
+func floodNet(n, fanout, shards int) *Network {
+	return benchNet(n, &floodBenchHandler{n: n, fanout: fanout, every: 1, payload: any(0)}, shards)
+}
+
+func benchNet(n int, h Handler, shards int) *Network {
 	net := NewNetwork(Config{Seed: 1, Shards: shards, SizeHint: n})
-	h := &floodBenchHandler{n: n, fanout: fanout, payload: any(0)}
 	for i := 0; i < n; i++ {
 		net.SpawnHandler(NodeID(i+1), h)
 	}
@@ -66,56 +49,26 @@ func floodHandlerNet(n, fanout, shards int) *Network {
 // BenchmarkStep measures the per-round cost of the simulator kernel
 // under a flood pattern (every node sends every round) and a sparse
 // pattern (1-in-16 nodes send), the two regimes the experiment drivers
-// live in — each in both execution modes: "flood"/"sparse" rows run
-// blocking coroutines through the adapter (a goroutine + channel pair
-// per node), "handler" rows run the same flood as event-driven handlers
-// inline on the kernel. The handler rows extend to n=1M, which the
-// adapter mode cannot reach in this container's memory budget.
-// Allocations per round must stay near zero in steady state: inbox and
-// outbox buffers are recycled, and there is no sorting pass.
+// live in. The flood rows extend to n=1M. Allocations per round must
+// stay at zero in steady state: inbox and outbox buffers are recycled,
+// and there is no sorting pass.
 func BenchmarkStep(b *testing.B) {
 	for _, bc := range []struct {
-		name    string
-		n       int
-		fanout  int
-		sparse  bool
-		handler bool
+		name   string
+		n      int
+		fanout int
+		every  int
 	}{
-		{"flood/n=1k", 1000, 4, false, false},
-		{"flood/n=10k", 10000, 4, false, false},
-		{"flood/n=100k", 100000, 4, false, false},
-		{"sparse/n=1k", 1000, 4, true, false},
-		{"sparse/n=10k", 10000, 4, true, false},
-		{"sparse/n=100k", 100000, 4, true, false},
-		{"handler/n=1k", 1000, 4, false, true},
-		{"handler/n=10k", 10000, 4, false, true},
-		{"handler/n=100k", 100000, 4, false, true},
-		{"handler/n=1M", 1000000, 4, false, true},
+		{"flood/n=1k", 1000, 4, 1},
+		{"flood/n=10k", 10000, 4, 1},
+		{"flood/n=100k", 100000, 4, 1},
+		{"flood/n=1M", 1000000, 4, 1},
+		{"sparse/n=1k", 1000, 4, 16},
+		{"sparse/n=10k", 10000, 4, 16},
+		{"sparse/n=100k", 100000, 4, 16},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
-			var net *Network
-			switch {
-			case bc.sparse:
-				net = NewNetwork(Config{Seed: 1})
-				for i := 0; i < bc.n; i++ {
-					idx := i
-					payload := any(idx)
-					net.Spawn(NodeID(i+1), func(ctx *Ctx) {
-						for {
-							if idx%16 == 0 {
-								for j := 0; j < bc.fanout; j++ {
-									ctx.Send(NodeID((idx+j+1)%bc.n+1), payload, 32)
-								}
-							}
-							ctx.NextRound()
-						}
-					})
-				}
-			case bc.handler:
-				net = floodHandlerNet(bc.n, bc.fanout, 0)
-			default:
-				net = floodNet(bc.n, bc.fanout)
-			}
+			net := benchNet(bc.n, &floodBenchHandler{n: bc.n, fanout: bc.fanout, every: bc.every, payload: any(0)}, 0)
 			net.DisableWorkLog()
 			net.Run(2) // reach buffer steady state
 			b.ReportAllocs()
@@ -150,7 +103,7 @@ func BenchmarkStep(b *testing.B) {
 func BenchmarkStepSharded(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("flood/n=100k/shards=%d", shards), func(b *testing.B) {
-			net := floodNetShards(100000, 4, shards)
+			net := floodNet(100000, 4, shards)
 			net.DisableWorkLog()
 			net.Run(2)
 			b.ReportAllocs()
@@ -166,8 +119,9 @@ func BenchmarkStepSharded(b *testing.B) {
 
 // readPeakRSSMB returns the process's peak resident set size in MiB
 // from /proc/self/status (VmHWM), or 0 where that is unavailable. It is
-// a process-wide high-water mark — a coarse footprint note for
-// BENCH_SIM.json, not a per-benchmark measurement.
+// a process-wide high-water mark — a coarse footprint note, not a
+// per-benchmark measurement (bash perfbench/run.sh records the
+// benchmark's own peak RSS per workload).
 func readPeakRSSMB() float64 {
 	data, err := os.ReadFile("/proc/self/status")
 	if err != nil {
@@ -196,7 +150,7 @@ func readPeakRSSMB() float64 {
 // 0 allocs/op (TestNilTracerSteadyStateZeroAllocs asserts the same
 // invariant in the regular test run).
 func BenchmarkStepAllocs(b *testing.B) {
-	net := floodNet(1000, 4)
+	net := floodNet(1000, 4, 0)
 	net.DisableWorkLog()
 	net.Run(2)
 	b.ReportAllocs()
@@ -210,11 +164,11 @@ func BenchmarkStepAllocs(b *testing.B) {
 
 // BenchmarkStepTraced measures the same steady-state flood round with a
 // counting tracer attached — the overhead of the observability hooks
-// when enabled (recorded in BENCH_SIM.json next to the nil-tracer
-// numbers). After the first round the tracer path also reaches an
+// when enabled (perfbench's trace.overhead_share is the end-to-end
+// counterpart, from bash perfbench/run.sh). After the first round the tracer path also reaches an
 // allocation steady state: the distribution scratch buffers are reused.
 func BenchmarkStepTraced(b *testing.B) {
-	net := floodNet(1000, 4)
+	net := floodNet(1000, 4, 0)
 	net.DisableWorkLog()
 	net.SetTracer(&countingTracer{})
 	net.Run(2)
@@ -234,7 +188,7 @@ func BenchmarkSpawnShutdown(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				net := NewNetwork(Config{Seed: uint64(i)})
 				for v := 0; v < n; v++ {
-					net.Spawn(NodeID(v+1), func(ctx *Ctx) { ctx.NextRound() })
+					net.SpawnHandler(NodeID(v+1), HandlerFunc(func(*Ctx, []Message) bool { return false }))
 				}
 				net.Run(1)
 				net.Shutdown()

@@ -7,7 +7,7 @@ import (
 
 // stateOf returns the dense slot state backing a live node — a test
 // helper for the white-box buffer assertions. The pointer is only valid
-// until the next Spawn (the node table may grow).
+// until the next SpawnHandler (the node table may grow).
 func (n *Network) stateOf(id NodeID) *nodeState {
 	return &n.slots[n.nodes[id]]
 }
@@ -20,20 +20,19 @@ func (n *Network) stateOf(id NodeID) *nodeState {
 func TestDroppedMessagesDoNotLeak(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	payload := "heavy payload"
-	net.Spawn(1, func(ctx *Ctx) {
-		for i := 0; i < 6; i++ {
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if ctx.Round() <= 6 {
 			ctx.Send(2, payload, 8)
 			ctx.Send(3, payload, 8)
-			ctx.NextRound()
 		}
-	})
+		return ctx.Round() < 7
+	}))
 	var delivered atomic.Int64
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 7; i++ {
-			delivered.Add(int64(len(ctx.NextRound())))
-		}
-	})
-	net.Spawn(3, func(ctx *Ctx) {}) // departs after round 1
+	net.SpawnHandler(2, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+		delivered.Add(int64(len(inbox)))
+		return ctx.Round() < 8
+	}))
+	net.SpawnHandler(3, HandlerFunc(func(*Ctx, []Message) bool { return false })) // departs after round 1
 
 	net.Step() // round 1: first sends go out; node 3 departs
 	if net.Exists(3) {
@@ -81,17 +80,11 @@ func TestDroppedMessagesDoNotLeak(t *testing.T) {
 // of its network-side state in the same round.
 func TestKilledNodeBuffersReleased(t *testing.T) {
 	net := NewNetwork(Config{Seed: 2})
-	net.Spawn(1, func(ctx *Ctx) {
-		for {
-			ctx.Send(2, "x", 4)
-			ctx.NextRound()
-		}
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for {
-			ctx.NextRound()
-		}
-	})
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		ctx.Send(2, "x", 4)
+		return true
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(*Ctx, []Message) bool { return true }))
 	net.Step()
 	net.Kill(2)
 	net.Step()
@@ -109,17 +102,11 @@ func TestKilledNodeBuffersReleased(t *testing.T) {
 func TestInboxBufferReuse(t *testing.T) {
 	net := NewNetwork(Config{Seed: 3})
 	const rounds = 32
-	net.Spawn(1, func(ctx *Ctx) {
-		for i := 0; i < rounds+2; i++ {
-			ctx.Send(2, i, 8)
-			ctx.NextRound()
-		}
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < rounds+2; i++ {
-			ctx.NextRound()
-		}
-	})
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		ctx.Send(2, ctx.Round(), 8)
+		return true
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(*Ctx, []Message) bool { return true }))
 	net.Run(3) // populate both buffers
 	st := net.stateOf(2)
 	c0, c1 := cap(st.inbox[0]), cap(st.inbox[1])

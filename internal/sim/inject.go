@@ -32,9 +32,9 @@ type FaultObserver interface {
 }
 
 // dupEvent is a deferred FaultObserver.MessageDuplicated call. Like
-// dropEvent it is buffered (per shard under sharded execution, in
-// Network.dupScratch serially) and replayed by the driver after the send
-// step, so the tracer call sequence is identical for every shard count.
+// dropEvent it is buffered per worker and replayed by the driver after
+// the send step, so the tracer call sequence is identical for every
+// shard count.
 type dupEvent struct {
 	from, to NodeID
 	bits     int

@@ -56,15 +56,13 @@ func injectScenario(inj Injector, shards int) ([]RoundWork, *faultTracer) {
 	const n = 48
 	for i := 0; i < n; i++ {
 		id := NodeID(i + 1)
-		net.Spawn(id, func(ctx *Ctx) {
-			for {
-				k := int(ctx.RNG().Intn(4)) + 1
-				for j := 0; j < k; j++ {
-					ctx.Send(NodeID((int(id)+j*13)%n+1), j, 24)
-				}
-				ctx.NextRound()
+		net.SpawnHandler(id, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+			k := int(ctx.RNG().Intn(4)) + 1
+			for j := 0; j < k; j++ {
+				ctx.Send(NodeID((int(id)+j*13)%n+1), j, 24)
 			}
-		})
+			return true
+		}))
 	}
 	net.Run(12)
 	net.Shutdown()
@@ -187,13 +185,14 @@ func TestInjectorMultiCopies(t *testing.T) {
 	net.SetTracer(tr)
 	net.SetInjector(fixedCopies(3))
 	var got int
-	net.Spawn(1, func(ctx *Ctx) {
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
 		ctx.Send(2, "m", 8)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		got = len(ctx.NextRound())
-	})
+		return false
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+		got = len(inbox)
+		return ctx.Round() < 2
+	}))
 	net.Run(3)
 	net.Shutdown()
 	if got != 3 {

@@ -1,9 +1,9 @@
-// Pool is the reusable half of the kernel's sharded round machinery:
-// a persistent bulk-synchronous worker pool that partitions phases of
-// deterministic work across S workers (the caller's goroutine acts as
-// worker 0). The §5/§6 overlay stacks drive their per-group and
-// per-subcube rounds through it with the same determinism contract the
-// kernel's shard workers obey: workers own contiguous index ranges,
+// Pool is a persistent bulk-synchronous worker pool that partitions
+// phases of deterministic work across S workers (the caller's goroutine
+// acts as worker 0). The kernel runs every round's compute and send
+// steps on one, and the §5/§6 overlay stacks drive their per-group and
+// per-subcube rounds through one, all under the same determinism
+// contract: workers own contiguous index ranges,
 // write only state owned by their range plus per-worker accumulators,
 // and the driver merges accumulators in worker order — which equals
 // the serial iteration order because the ranges are contiguous.
@@ -66,11 +66,13 @@ func (p *Pool) Shards() int { return p.shards }
 // Run executes one phase: every worker calls r.RunShard(phase, w) for
 // its own w, and Run returns when all are done. The channel sends
 // publish the caller's writes to the workers; wg.Wait publishes the
-// workers' writes back (the same memory-ordering edges the kernel's
-// shard pool relies on).
+// workers' writes back. A closed pool runs every worker's share in turn
+// on the caller: results never depend on which goroutine ran a share.
 func (p *Pool) Run(r ShardRunner, phase int) {
-	if p.shards == 1 {
-		r.RunShard(phase, 0)
+	if p.shards == 1 || p.closed {
+		for w := 0; w < p.shards; w++ {
+			r.RunShard(phase, w)
+		}
 		return
 	}
 	p.runner = r
@@ -83,8 +85,8 @@ func (p *Pool) Run(r ShardRunner, phase int) {
 	p.runner = nil
 }
 
-// Close stops the parked workers. Idempotent; the pool must not be
-// used afterwards.
+// Close stops the parked workers. Idempotent; Run still works
+// afterwards, serially.
 func (p *Pool) Close() {
 	if p.closed {
 		return
@@ -118,14 +120,16 @@ func DefaultShards(cfg int) int {
 	return cfg
 }
 
-// FinalizePool arms a GC finalizer on owner that closes the pool when
+// FinalizePool arms a GC cleanup on owner that closes the pool when
 // the owner becomes unreachable without an explicit Close — the safety
-// net for short-lived overlay networks created by sweeps and tests.
-// The parked workers hold no reference to the owner, so reachability
-// is decided by the owner's other referents alone.
-func FinalizePool(owner any, p *Pool) {
+// net for short-lived networks created by sweeps and tests. The parked
+// workers hold no reference to the owner, so reachability is decided
+// by the owner's other referents alone; unlike a finalizer, the cleanup
+// also lets an owner that references itself (a kernel Network, through
+// its nodes' Ctx values) be collected.
+func FinalizePool[T any](owner *T, p *Pool) {
 	if p == nil || p.shards == 1 {
 		return
 	}
-	runtime.SetFinalizer(owner, func(any) { p.Close() })
+	runtime.AddCleanup(owner, func(p *Pool) { p.Close() }, p)
 }

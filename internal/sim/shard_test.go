@@ -3,7 +3,9 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
+	"weak"
 )
 
 // churnScenario drives a network through a workload that exercises
@@ -11,44 +13,30 @@ import (
 // receivers, departures, kills, and late spawns — and returns the
 // work log plus the tracer's view (nil tracer ⇒ nil stats).
 func churnScenario(shards int, traced bool) ([]RoundWork, *countingTracer) {
-	return churnScenarioMode(shards, traced, false)
-}
-
-// churnScenarioMode is churnScenario with a choice of execution mode:
-// handler nodes called inline by the kernel, or the same programs in
-// blocking-coroutine form behind the adapter. Both perform identical
-// randomness draws and sends, so their work logs and tracer views must
-// be byte-identical (TestWorkLogByteIdenticalAcrossModes).
-func churnScenarioMode(shards int, traced, handler bool) ([]RoundWork, *countingTracer) {
-	net := NewNetwork(Config{Seed: 42, Shards: shards})
 	var tr *countingTracer
+	net := NewNetwork(Config{Seed: 42, Shards: shards})
 	if traced {
 		tr = &countingTracer{}
 		net.SetTracer(tr)
 	}
+	runChurnScenario(net)
+	return net.Work(), tr
+}
+
+// runChurnScenario runs churnScenario's workload on a prepared network
+// (its config, tracer and injector already set) and shuts it down.
+func runChurnScenario(net *Network) {
 	const n = 64
 	spawn := func(i int) {
 		idx := i
-		round := func(ctx *Ctx) {
+		net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
 			k := int(ctx.RNG().Intn(5))
 			for j := 0; j < k; j++ {
 				// Some targets are dead or not yet spawned on purpose.
 				ctx.Send(NodeID((idx*3+j*11)%(n+8)+1), j, 16+j)
 			}
-		}
-		if handler {
-			net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
-				round(ctx)
-				return true
-			}))
-			return
-		}
-		net.Spawn(NodeID(i+1), func(ctx *Ctx) {
-			for {
-				round(ctx)
-				ctx.NextRound()
-			}
-		})
+			return true
+		}))
 	}
 	for i := 0; i < n; i++ {
 		spawn(i)
@@ -70,7 +58,6 @@ func churnScenarioMode(shards int, traced, handler bool) ([]RoundWork, *counting
 		net.Step()
 	}
 	net.Shutdown()
-	return net.Work(), tr
 }
 
 // TestWorkLogByteIdentityAcrossShards is the tentpole determinism
@@ -140,13 +127,11 @@ func TestShardsMoreThanNodes(t *testing.T) {
 func churnScenarioTiny(shards int) ([]RoundWork, *countingTracer) {
 	net := NewNetwork(Config{Seed: 7, Shards: shards})
 	for i := 0; i < 3; i++ {
-		idx := i
-		net.Spawn(NodeID(i+1), func(ctx *Ctx) {
-			for {
-				ctx.Send(NodeID((idx+1)%3+1), "x", 8)
-				ctx.NextRound()
-			}
-		})
+		to := NodeID((i+1)%3 + 1)
+		net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+			ctx.Send(to, "x", 8)
+			return true
+		}))
 	}
 	net.SetBlocked(map[NodeID]bool{2: true})
 	net.Run(4)
@@ -161,17 +146,11 @@ func churnScenarioTiny(shards int) ([]RoundWork, *countingTracer) {
 func TestSetBlockedMapAliasing(t *testing.T) {
 	run := func(mutate bool) []RoundWork {
 		net := NewNetwork(Config{Seed: 13})
-		net.Spawn(1, func(ctx *Ctx) {
-			for {
-				ctx.Send(2, "x", 8)
-				ctx.NextRound()
-			}
-		})
-		net.Spawn(2, func(ctx *Ctx) {
-			for {
-				ctx.NextRound()
-			}
-		})
+		net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+			ctx.Send(2, "x", 8)
+			return true
+		}))
+		net.SpawnHandler(2, HandlerFunc(func(*Ctx, []Message) bool { return true }))
 		blocked := map[NodeID]bool{1: true}
 		net.SetBlocked(blocked)
 		if mutate {
@@ -208,18 +187,12 @@ func TestSetBlockedMapAliasing(t *testing.T) {
 func TestSetBlockedReplacesPreviousPending(t *testing.T) {
 	net := NewNetwork(Config{Seed: 14})
 	for i := 1; i <= 2; i++ {
-		net.Spawn(NodeID(i), func(ctx *Ctx) {
-			for {
-				ctx.Send(3, "x", 8)
-				ctx.NextRound()
-			}
-		})
+		net.SpawnHandler(NodeID(i), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+			ctx.Send(3, "x", 8)
+			return true
+		}))
 	}
-	net.Spawn(3, func(ctx *Ctx) {
-		for {
-			ctx.NextRound()
-		}
-	})
+	net.SpawnHandler(3, HandlerFunc(func(*Ctx, []Message) bool { return true }))
 	net.SetBlocked(map[NodeID]bool{1: true, 2: true})
 	net.SetBlocked(map[NodeID]bool{1: true})
 	net.Step()
@@ -247,12 +220,10 @@ func TestShardObserverFiresPerWorker(t *testing.T) {
 	tr := &shardTimingTracer{}
 	net.SetTracer(tr)
 	for i := 0; i < 16; i++ {
-		net.Spawn(NodeID(i+1), func(ctx *Ctx) {
-			for {
-				ctx.Send(1, "x", 8)
-				ctx.NextRound()
-			}
-		})
+		net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+			ctx.Send(1, "x", 8)
+			return true
+		}))
 	}
 	net.Run(rounds)
 	net.Shutdown()
@@ -263,5 +234,28 @@ func TestShardObserverFiresPerWorker(t *testing.T) {
 		if w != i%shards {
 			t.Fatalf("ShardRound call %d came from worker %d, want %d (worker order)", i, w, i%shards)
 		}
+	}
+}
+
+// TestShardedNetworkCollectedWithoutShutdown: a sharded network that is
+// dropped without Shutdown must still be collectable. Its parked shard
+// workers reference only the worker pool, never the network, so the
+// network's reachability is decided by its callers alone (and the
+// pool's finalizer then stops the workers).
+func TestShardedNetworkCollectedWithoutShutdown(t *testing.T) {
+	wp := func() weak.Pointer[Network] {
+		net := NewNetwork(Config{Seed: 3, Shards: 4})
+		for i := 0; i < 8; i++ {
+			net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+				ctx.Send(1, "x", 8)
+				return true
+			}))
+		}
+		net.Step()
+		return weak.Make(net)
+	}()
+	runtime.GC()
+	if wp.Value() != nil {
+		t.Fatal("sharded network dropped without Shutdown is still reachable after GC")
 	}
 }

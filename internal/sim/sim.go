@@ -7,15 +7,13 @@
 //
 // Execution model: node programs are event-driven state machines — a
 // Handler whose OnRound method is invoked inline, once per round, by
-// the kernel (or by one of its shard workers). A handler node owns no
-// goroutine, no channel, and no stack: its entire footprint is its
-// dense slot in the node table plus whatever state the Handler value
-// itself carries, which is what lets a single process simulate millions
-// of nodes. The classic blocking-coroutine API (Spawn with a Proc that
-// parks in Ctx.NextRound) is kept as a thin adapter over the handler
-// kernel: each Proc runs on a private goroutine that the adapter parks
-// between rounds and resumes from its own OnRound, so both styles mix
-// freely in one network and produce byte-identical results.
+// the kernel (or by one of its shard workers) with the round's inbox.
+// OnRound is the node's receive, local-computation and send step in
+// one call. A node owns no goroutine, no channel, and no stack: its
+// entire footprint is its dense slot in the node table plus whatever
+// state the Handler value itself carries, which is what lets a single
+// process simulate millions of nodes. A multi-round program keeps its
+// position (which round of which phase it is in) in that state.
 //
 // All randomness is deterministic: node v's generator is derived from
 // (network seed, v), node programs touch only their own state, and
@@ -28,10 +26,12 @@
 // boundary and once per Send (with a per-node cache in front), so the
 // round loop itself performs zero map operations. The per-round
 // DoS-blocked set and the kill-request set are bitsets indexed by slot.
-// With Config.Shards > 1 the compute (receive + handler execution) and
-// send/delivery steps run on a persistent worker pool, partitioned so
-// that results — tables, work logs, and tracer accounting — are
-// byte-identical for every shard count (see shard.go for the argument).
+// Every round runs its compute (receive + handler execution) and
+// send/delivery steps on a worker Pool of Config.Shards workers; the
+// serial kernel is the 1-worker case, which runs on the calling
+// goroutine. The partition makes results — tables, work logs, and
+// tracer accounting — byte-identical for every shard count (see
+// shard.go for the argument).
 //
 // DoS semantics follow the paper: a message sent from v to w at round i
 // is received iff v is non-blocked in round i and w is non-blocked in
@@ -87,15 +87,15 @@ const (
 // once per round, inline, with the messages delivered to the node this
 // round. The handler may call Ctx.Send any number of times and returns
 // whether the node stays in the network; returning false ends the
-// node's life (it leaves after its final sends are delivered, exactly
-// like a Proc returning). The inbox slice is only valid for the
+// node's life (it leaves after its final sends are delivered). The
+// inbox slice is only valid for the
 // duration of the call: the kernel recycles the buffer, so handlers
 // must copy any messages they keep.
 //
 // OnRound may run on any kernel worker, but never concurrently with
 // itself or with another node's handler touching shared mutable state
-// it owns exclusively; like a Proc, a handler must confine itself to
-// its own node's state (plus Ctx) for results to stay deterministic.
+// it owns exclusively; a handler must confine itself to its own node's
+// state (plus Ctx) for results to stay deterministic.
 type Handler interface {
 	OnRound(ctx *Ctx, inbox []Message) bool
 }
@@ -105,14 +105,6 @@ type HandlerFunc func(ctx *Ctx, inbox []Message) bool
 
 // OnRound implements Handler.
 func (f HandlerFunc) OnRound(ctx *Ctx, inbox []Message) bool { return f(ctx, inbox) }
-
-// Proc is a node protocol in blocking-coroutine form. It is invoked in
-// the node's first round; it may compute, call Ctx.Send any number of
-// times, and must call Ctx.NextRound to end its round. Returning ends
-// the node's life (it leaves the network after its final sends are
-// delivered). Procs run through a per-node adapter goroutine over the
-// handler kernel; SpawnHandler avoids that cost entirely.
-type Proc func(ctx *Ctx)
 
 // Config configures a Network.
 type Config struct {
@@ -223,8 +215,6 @@ type ReliabilityTotals struct {
 	CtlBits     int64
 }
 
-type haltSignal struct{}
-
 // nodeState is one dense slot of the node table. The two inbox buffers
 // are reused round after round: while the node consumes one, the send
 // step fills the other, so the steady state allocates nothing. Slots
@@ -249,8 +239,8 @@ type nodeState struct {
 }
 
 // Network coordinates the synchronous rounds. It is not safe for
-// concurrent use; Spawn, SetBlocked, Step and the accessors must all be
-// called from a single driver goroutine, between rounds.
+// concurrent use; SpawnHandler, SetBlocked, Step and the accessors must
+// all be called from a single driver goroutine, between rounds.
 type Network struct {
 	root  *rng.RNG
 	round int
@@ -268,16 +258,10 @@ type Network struct {
 	work       []RoundWork
 	recordWork bool
 
-	// adapterLive counts coroutine-adapter goroutines currently alive,
-	// for the teardown leak audit (AdapterGoroutines). Atomic because
-	// shard workers start and retire adapters concurrently.
-	adapterLive atomic.Int64
-
-	// Sharded execution (see shard.go). acc holds one accumulator per
-	// shard; pool is the persistent worker pool, started lazily.
-	shards int
-	acc    []shardAcc
-	pool   *shardPool
+	// Round execution (see shard.go): pool runs the compute and send
+	// steps, acc holds one accumulator per worker.
+	pool *Pool
+	acc  []shardAcc
 
 	// tracer, when non-nil, receives lifecycle events and drop-reason
 	// accounting (see trace.go). The scratch slices collect the
@@ -293,49 +277,31 @@ type Network struct {
 
 	// injector, when non-nil, is consulted for every otherwise-
 	// deliverable message (see inject.go). faultObs caches whether the
-	// tracer wants duplication events; dupScratch buffers them on the
-	// serial path so they replay after the send step, matching the
-	// sharded call order.
-	injector   Injector
-	faultObs   FaultObserver
-	dupScratch []dupEvent
+	// tracer wants duplication events.
+	injector Injector
+	faultObs FaultObserver
 
 	// Discrete-event scheduler state (latency.go). async mirrors
 	// lat.Enabled(); latSeed feeds the pure per-edge delay hash;
 	// deferred counts messages (cumulatively) whose sampled delay
 	// pushed arrival past the next round — a deterministic statistic.
-	// roundDeferred accumulates the serial path's per-round count;
-	// latObs caches whether the tracer wants it.
-	lat           Latency
-	async         bool
-	latSeed       uint64
-	deferred      int64
-	roundDeferred int64
-	latObs        LatencyObserver
+	// latObs caches whether the tracer wants the per-round count.
+	lat      Latency
+	async    bool
+	latSeed  uint64
+	deferred int64
+	latObs   LatencyObserver
 
-	// Reliability-layer accounting (see the lane constants). roundRel
-	// accumulates the serial path's per-round stats (the sharded path
-	// merges per-worker accumulators into it); relTotals is cumulative;
-	// relObs caches whether the tracer wants the per-round stats. All
-	// zero unless nodes actually use the control-lane sends, so a
-	// reliability-free run is untouched.
-	roundRel  ReliabilityRoundStats
+	// Reliability-layer accounting (see the lane constants). relTotals
+	// is cumulative; relObs caches whether the tracer wants the
+	// per-round stats. All zero unless nodes actually use the
+	// control-lane sends, so a reliability-free run is untouched.
 	relTotals ReliabilityTotals
 	relObs    ReliabilityObserver
 }
 
 // NewNetwork returns an empty network.
 func NewNetwork(cfg Config) *Network {
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = envShards()
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > maxShards {
-		shards = maxShards
-	}
 	hint := cfg.SizeHint
 	if hint < 0 {
 		hint = 0
@@ -347,7 +313,7 @@ func NewNetwork(cfg Config) *Network {
 		root:       rng.New(cfg.Seed),
 		nodes:      make(map[NodeID]int32, hint),
 		recordWork: true,
-		shards:     shards,
+		pool:       NewPool(DefaultShards(cfg.Shards)),
 		lat:        cfg.Latency,
 		async:      cfg.Latency.Enabled(),
 		latSeed:    cfg.Seed,
@@ -359,14 +325,13 @@ func NewNetwork(cfg Config) *Network {
 		n.pendingBlocked = GrowBitset(nil, hint)
 		n.killReq = GrowBitset(nil, hint)
 	}
-	if shards > 1 {
-		n.acc = make([]shardAcc, shards)
-	}
+	n.acc = make([]shardAcc, n.pool.Shards())
+	FinalizePool(n, n.pool)
 	return n
 }
 
 // Shards returns the configured worker count for the intra-round steps.
-func (n *Network) Shards() int { return n.shards }
+func (n *Network) Shards() int { return n.pool.Shards() }
 
 // Async reports whether the discrete-event scheduler is active.
 func (n *Network) Async() bool { return n.async }
@@ -400,12 +365,6 @@ func (n *Network) Round() int { return n.round }
 
 // NumAlive returns the number of live nodes.
 func (n *Network) NumAlive() int { return len(n.order) }
-
-// AdapterGoroutines returns the number of coroutine-adapter goroutines
-// currently alive. It is 0 for a network of pure handler nodes, and
-// must return to 0 after Shutdown (the teardown leak audit asserts
-// both).
-func (n *Network) AdapterGoroutines() int { return int(n.adapterLive.Load()) }
 
 // Alive returns the ids of live nodes in spawn order.
 func (n *Network) Alive() []NodeID {
@@ -445,13 +404,8 @@ func (n *Network) allocSlot() int32 {
 // capacity stays with the slot for reuse, but message contents are
 // zeroed so payload references are released, the handler and Ctx are
 // dropped, and all slot-indexed bits are cleared for the next occupant.
-// A coroutine adapter whose goroutine is still parked (the node was
-// killed rather than returning) is unwound here.
 func (n *Network) freeSlot(s int32) {
 	st := &n.slots[s]
-	if a, ok := st.h.(*procAdapter); ok {
-		a.stop()
-	}
 	for k := range st.inbox {
 		clear(st.inbox[k])
 		st.inbox[k] = st.inbox[k][:0]
@@ -503,18 +457,10 @@ func (n *Network) SpawnHandler(id NodeID, h Handler) {
 	n.order = append(n.order, s)
 }
 
-// Spawn adds a node running proc in blocking-coroutine form: a thin
-// adapter gives the proc a private goroutine that parks between rounds,
-// at a cost of roughly one goroutine stack plus two channels per node.
-// Prefer SpawnHandler for large networks.
-func (n *Network) Spawn(id NodeID, proc Proc) {
-	n.SpawnHandler(id, &procAdapter{net: n, proc: proc})
-}
-
 // Kill forces the node to stop at its next round barrier (a crash: it
 // performs no further computation, then vanishes at the end of the
 // round — messages addressed to it in its final round are absorbed, not
-// counted as drops, exactly as for a node whose program returns).
+// counted as drops, exactly as for a node whose handler returns false).
 func (n *Network) Kill(id NodeID) {
 	if s, ok := n.nodes[id]; ok {
 		n.killReq.Set(s)
@@ -545,7 +491,8 @@ func (n *Network) SetBlocked(blocked map[NodeID]bool) {
 }
 
 // Step executes one synchronous round: deliver + compute, then collect
-// sends.
+// sends. Both steps run on the worker pool (see shard.go); with one
+// shard they run inline on the calling goroutine.
 func (n *Network) Step() {
 	n.blocked, n.pendingBlocked = n.pendingBlocked, n.blocked
 	n.blockedAny, n.pendingAny = n.pendingAny, false
@@ -556,49 +503,29 @@ func (n *Network) Step() {
 		nblocked = n.traceRoundStart()
 	}
 
-	var messages int
-	var totalBits, maxBits int64
-	var anyHalted bool
-	n.roundDeferred = 0
-	n.roundRel = ReliabilityRoundStats{}
+	// Compute step: hand each node the inbox filled during the previous
+	// send step (empty if blocked in this round — the "receiver
+	// non-blocked in round i+1" half of the rule; the other half was
+	// enforced at send time) and run its handler inline. Send step:
+	// drain outboxes in deterministic spawn order into the receivers'
+	// fill buffers (or, in async mode, their event calendars).
+	n.pool.Run((*kernelRunner)(n), phaseCompute)
+	n.pool.Run((*kernelRunner)(n), phaseSend)
+	sum := n.mergeShards()
 
-	if n.shards > 1 {
-		messages, totalBits, maxBits, anyHalted = n.stepSharded()
-	} else {
-		// Compute step: hand each node the inbox filled during the
-		// previous send step (empty if blocked in this round — the
-		// "receiver non-blocked in round i+1" half of the rule; the
-		// other half was enforced at send time) and run its handler
-		// inline.
-		n.computeRange(0, len(n.order), nil)
-		// Send step: drain outboxes in deterministic spawn order,
-		// appending each message to its receiver's fill buffer (or, in
-		// async mode, parking it in the receiver's event calendar).
-		if n.async {
-			messages, totalBits, maxBits, anyHalted = n.sendRangeAsync(0, len(n.order), 0, int32(len(n.slots)), nil)
-		} else {
-			messages, totalBits, maxBits, anyHalted = n.sendRange(0, len(n.order), 0, int32(len(n.slots)), nil)
-		}
-		if len(n.dupScratch) > 0 {
-			for _, d := range n.dupScratch {
-				n.faultObs.MessageDuplicated(n.round, d.from, d.to, d.bits, d.copies)
-			}
-			n.dupScratch = n.dupScratch[:0]
-		}
-	}
 	if n.async {
-		n.deferred += n.roundDeferred
+		n.deferred += sum.deferred
 		// Fire only on nonzero counts: a zero-spread async run then
 		// produces exactly the synchronous run's tracer call sequence.
-		if n.latObs != nil && n.roundDeferred > 0 {
-			n.latObs.RoundDeferred(n.round, int(n.roundDeferred))
+		if n.latObs != nil && sum.deferred > 0 {
+			n.latObs.RoundDeferred(n.round, int(sum.deferred))
 		}
 	}
 
 	// Reliability flush: totals accumulate, and the tracer extension
 	// fires only on rounds with activity — a run whose reliable layer
 	// stays silent produces exactly the pre-reliability call sequence.
-	if rel := &n.roundRel; rel.any() {
+	if rel := &sum.rel; rel.any() {
 		n.relTotals.Retransmits += int64(rel.Retransmits)
 		n.relTotals.Acks += int64(rel.Acks)
 		n.relTotals.Failures += int64(rel.Failures)
@@ -610,7 +537,7 @@ func (n *Network) Step() {
 		}
 	}
 
-	if anyHalted {
+	if sum.anyHalted {
 		n.reap()
 	}
 	if n.blockedAny {
@@ -620,15 +547,15 @@ func (n *Network) Step() {
 	if n.recordWork {
 		n.work = append(n.work, RoundWork{
 			Round:       n.round,
-			Messages:    messages,
-			TotalBits:   totalBits,
-			MaxNodeBits: maxBits,
-			CtlMessages: n.roundRel.CtlMessages,
-			CtlBits:     n.roundRel.CtlBits,
+			Messages:    sum.messages,
+			TotalBits:   sum.totalBits,
+			MaxNodeBits: sum.maxBits,
+			CtlMessages: sum.rel.CtlMessages,
+			CtlBits:     sum.rel.CtlBits,
 		})
 	}
 	if n.tracer != nil {
-		n.traceRoundEnd(aliveAtStart, nblocked, messages, totalBits, maxBits)
+		n.traceRoundEnd(aliveAtStart, nblocked, sum.messages, sum.totalBits, sum.maxBits)
 	}
 }
 
@@ -637,11 +564,11 @@ func (n *Network) Step() {
 // previous round, hands over (or, for blocked receivers, drops) the
 // pending inbox, and invokes the node's handler inline — unless a kill
 // was requested, in which case the node halts without computing.
-// acc != nil buffers tracer events and samples per shard instead of
-// calling the tracer directly (workers must not touch it concurrently);
-// they are replayed in canonical order afterwards.
+// Tracer events and samples are buffered in the worker's accumulator
+// (workers must not touch the tracer concurrently) and replayed in
+// canonical order after the round's steps.
 func (n *Network) computeRange(plo, phi int, acc *shardAcc) {
-	tr := n.tracer
+	traced := n.tracer != nil
 	slots := n.slots
 	blocked, anyB := n.blocked, n.blockedAny
 	for p := plo; p < phi; p++ {
@@ -663,24 +590,10 @@ func (n *Network) computeRange(plo, phi int, acc *shardAcc) {
 			// messages are lost the same way but stay out of the exact
 			// drop ledger (the reliable layer accounts them itself).
 			pend := st.inbox[st.fill]
-			if tr != nil {
-				if acc != nil {
-					for i := range pend {
-						if pend[i].lane != laneProtocol {
-							continue
-						}
-						acc.recvDrops = append(acc.recvDrops, dropEvent{
-							from: pend[i].From, to: st.id, bits: pend[i].Bits,
-							reason: DropBlockedReceiverDeliveryRound,
-						})
-					}
-				} else {
-					for i := range pend {
-						if pend[i].lane != laneProtocol {
-							continue
-						}
-						tr.MessageDropped(n.round, DropBlockedReceiverDeliveryRound,
-							pend[i].From, st.id, pend[i].Bits)
+			if traced {
+				for i := range pend {
+					if pend[i].lane == laneProtocol {
+						acc.drop(&acc.recvDrops, &pend[i], DropBlockedReceiverDeliveryRound)
 					}
 				}
 			}
@@ -705,12 +618,8 @@ func (n *Network) computeRange(plo, phi int, acc *shardAcc) {
 			}
 		}
 		st.bits = bits
-		if tr != nil {
-			if acc != nil {
-				acc.inboxSamples = append(acc.inboxSamples, nprot)
-			} else {
-				n.traceInbox = append(n.traceInbox, nprot)
-			}
+		if traced {
+			acc.inboxSamples = append(acc.inboxSamples, nprot)
 		}
 		// Compute: a killed node halts without running; otherwise the
 		// handler executes inline on this worker. Its sends go to the
@@ -728,18 +637,10 @@ func (n *Network) computeRange(plo, phi int, acc *shardAcc) {
 		// dirty flag keeps this to one branch per node for the common
 		// case of no reliable layer.
 		if ctx := st.ctx; ctx.rel.dirty {
-			if acc != nil {
-				acc.rel.Failures += int(ctx.rel.failures)
-				acc.rel.Stale += int(ctx.rel.stale)
-				for b := range ctx.rel.ackDelay {
-					acc.rel.AckDelay[b] += ctx.rel.ackDelay[b]
-				}
-			} else {
-				n.roundRel.Failures += int(ctx.rel.failures)
-				n.roundRel.Stale += int(ctx.rel.stale)
-				for b := range ctx.rel.ackDelay {
-					n.roundRel.AckDelay[b] += ctx.rel.ackDelay[b]
-				}
+			acc.rel.Failures += int(ctx.rel.failures)
+			acc.rel.Stale += int(ctx.rel.stale)
+			for b := range ctx.rel.ackDelay {
+				acc.rel.AckDelay[b] += ctx.rel.ackDelay[b]
 			}
 			ctx.rel = relNodeStats{}
 		}
@@ -772,19 +673,10 @@ func (n *Network) asyncInbox(st *nodeState, s int32, acc *shardAcc) []Message {
 	slices.SortFunc(due, pendingLess)
 	var box []Message
 	if n.blockedAny && n.blocked.Test(s) {
-		if tr := n.tracer; tr != nil {
+		if n.tracer != nil {
 			for i := range due {
-				if due[i].m.lane != laneProtocol {
-					continue // control lane stays out of the drop ledger
-				}
-				if acc != nil {
-					acc.recvDrops = append(acc.recvDrops, dropEvent{
-						from: due[i].m.From, to: st.id, bits: due[i].m.Bits,
-						reason: DropBlockedReceiverDeliveryRound,
-					})
-				} else {
-					tr.MessageDropped(n.round, DropBlockedReceiverDeliveryRound,
-						due[i].m.From, st.id, due[i].m.Bits)
+				if due[i].m.lane == laneProtocol { // control lane stays out of the drop ledger
+					acc.drop(&acc.recvDrops, &due[i].m, DropBlockedReceiverDeliveryRound)
 				}
 			}
 		}
@@ -807,22 +699,26 @@ func (n *Network) asyncInbox(st *nodeState, s int32, acc *shardAcc) []Message {
 }
 
 // sendRange runs the send step. It scans every sender's outbox in spawn
-// order and (a) appends messages whose receiver slot falls in
-// [dlo, dhi) to that receiver's fill buffer — per-sender outboxes are
-// already in send order, so every inbox ends up in canonical (sender
-// spawn order, send sequence) order with no sorting pass — and (b) for
-// sender positions in [plo, phi), performs the round's accounting:
-// message and bit totals, drop events, and departure detection. In
-// serial mode both ranges cover everything; under sharding each worker
-// owns a contiguous receiver-slot range and a contiguous sender-
-// position range, so the union of the shards reproduces the serial
-// round exactly.
-func (n *Network) sendRange(plo, phi int, dlo, dhi int32, acc *shardAcc) (messages int, totalBits, maxBits int64, anyHalted bool) {
-	tr := n.tracer
-	inj := n.injector
+// order and (a) delivers messages whose receiver slot falls in
+// [dlo, dhi) — per-sender outboxes are already in send order, so every
+// inbox ends up in canonical (sender spawn order, send sequence) order
+// with no sorting pass — and (b) for sender positions in [plo, phi),
+// performs the round's accounting: message and bit totals, drop events,
+// and departure detection. Each worker owns a contiguous receiver-slot
+// range and a contiguous sender-position range, so the union of the
+// workers reproduces the serial round exactly; one worker covers
+// everything.
+//
+// Where a deliverable copy goes is the only scheduler-dependent step:
+// the receiver's fill buffer in synchronous mode, its event calendar
+// (stamped with an arrival tick) in async mode — see deliverSlow. The
+// synchronous, uninjected case is a single append.
+func (n *Network) sendRange(plo, phi int, dlo, dhi int32, acc *shardAcc) {
+	traced := n.tracer != nil
+	fast := !n.async && n.injector == nil
 	slots := n.slots
 	blocked, anyB := n.blocked, n.blockedAny
-	var rel ReliabilityRoundStats
+	sum := roundSums{rel: acc.rel}
 	for p, norder := 0, len(n.order); p < norder; p++ {
 		s := n.order[p]
 		st := &slots[s]
@@ -833,25 +729,14 @@ func (n *Network) sendRange(plo, phi int, dlo, dhi int32, acc *shardAcc) (messag
 			// Blocked sender: the whole outbox is discarded. Control-lane
 			// messages vanish uncounted, like the protocol sends (which
 			// never enter Messages either).
-			if mine && tr != nil {
+			if mine && traced {
 				for i := range out {
-					if out[i].lane != laneProtocol {
-						continue
-					}
-					if acc != nil {
-						acc.sendDrops = append(acc.sendDrops, dropEvent{
-							from: out[i].From, to: out[i].To, bits: out[i].Bits,
-							reason: DropBlockedSender,
-						})
-					} else {
-						tr.MessageDropped(n.round, DropBlockedSender, out[i].From, out[i].To, out[i].Bits)
+					if out[i].lane == laneProtocol {
+						acc.drop(&acc.sendDrops, &out[i], DropBlockedSender)
 					}
 				}
 			}
-		} else if inj == nil {
-			// Fast path: no fault injection. This loop body is kept
-			// free of the injector branch so a detached injector costs
-			// one pointer check per sender, not one per message.
+		} else {
 			for i := range out {
 				m := &out[i]
 				t := m.slot
@@ -859,300 +744,104 @@ func (n *Network) sendRange(plo, phi int, dlo, dhi int32, acc *shardAcc) (messag
 				// non-blocked in the send round; the i+1 half of the rule
 				// is checked at delivery.
 				if t >= 0 && !(anyB && blocked.Test(t)) {
-					if t >= dlo && t < dhi {
-						rcv := &slots[t]
-						rcv.inbox[rcv.fill] = append(rcv.inbox[rcv.fill], *m)
-					}
-				} else if mine && tr != nil && m.lane == laneProtocol {
-					reason := DropBlockedReceiverSendRound
-					if t < 0 {
-						reason = DropDeadReceiver
-					}
-					if acc != nil {
-						acc.sendDrops = append(acc.sendDrops, dropEvent{
-							from: m.From, to: m.To, bits: m.Bits, reason: reason,
-						})
-					} else {
-						tr.MessageDropped(n.round, reason, m.From, m.To, m.Bits)
-					}
-				}
-				if mine {
-					if m.lane == laneProtocol {
-						st.bits += int64(m.Bits)
-					} else {
-						nctl++
-						rel.CtlBits += int64(m.Bits)
-						if m.lane == laneAck {
-							rel.Acks++
-						} else {
-							rel.Retransmits++
-						}
-					}
-				}
-			}
-			if mine {
-				messages += len(out) - nctl
-			}
-		} else {
-			for i := range out {
-				m := &out[i]
-				t := m.slot
-				if t >= 0 && !(anyB && blocked.Test(t)) {
-					// Fault injection: the injector is a pure function
-					// of the message identity, so the delivering worker
-					// and the accounting worker (which may differ under
-					// sharding) reach the same decision. Control-lane
-					// messages face the same faults but never enter the
-					// drop/dup ledger.
 					deliver := t >= dlo && t < dhi
-					if deliver || (mine && tr != nil) {
-						copies := inj.Deliveries(n.round, m.From, m.To, m.seq)
+					if fast {
 						if deliver {
 							rcv := &slots[t]
-							for c := 0; c < copies; c++ {
-								rcv.inbox[rcv.fill] = append(rcv.inbox[rcv.fill], *m)
-							}
+							rcv.inbox[rcv.fill] = append(rcv.inbox[rcv.fill], *m)
 						}
-						if mine && tr != nil && m.lane == laneProtocol {
-							if copies == 0 {
-								if acc != nil {
-									acc.sendDrops = append(acc.sendDrops, dropEvent{
-										from: m.From, to: m.To, bits: m.Bits,
-										reason: DropFaultInjected,
-									})
-								} else {
-									tr.MessageDropped(n.round, DropFaultInjected, m.From, m.To, m.Bits)
-								}
-							} else if copies > 1 && n.faultObs != nil {
-								if acc != nil {
-									acc.dups = append(acc.dups, dupEvent{
-										from: m.From, to: m.To, bits: m.Bits, copies: copies,
-									})
-								} else {
-									n.dupScratch = append(n.dupScratch, dupEvent{
-										from: m.From, to: m.To, bits: m.Bits, copies: copies,
-									})
-								}
-							}
-						}
+					} else if deliver || mine {
+						sum.deferred += n.deliverSlow(m, p, deliver, mine, acc)
 					}
-				} else if mine && tr != nil && m.lane == laneProtocol {
+				} else if mine && traced && m.lane == laneProtocol {
 					reason := DropBlockedReceiverSendRound
 					if t < 0 {
 						reason = DropDeadReceiver
 					}
-					if acc != nil {
-						acc.sendDrops = append(acc.sendDrops, dropEvent{
-							from: m.From, to: m.To, bits: m.Bits, reason: reason,
-						})
-					} else {
-						tr.MessageDropped(n.round, reason, m.From, m.To, m.Bits)
-					}
+					acc.drop(&acc.sendDrops, m, reason)
 				}
 				if mine {
 					if m.lane == laneProtocol {
 						st.bits += int64(m.Bits)
 					} else {
 						nctl++
-						rel.CtlBits += int64(m.Bits)
+						sum.rel.CtlBits += int64(m.Bits)
 						if m.lane == laneAck {
-							rel.Acks++
+							sum.rel.Acks++
 						} else {
-							rel.Retransmits++
+							sum.rel.Retransmits++
 						}
 					}
 				}
 			}
 			if mine {
-				messages += len(out) - nctl
+				sum.messages += len(out) - nctl
 			}
 		}
 		if mine {
-			rel.CtlMessages += nctl
-			totalBits += st.bits
-			if st.bits > maxBits {
-				maxBits = st.bits
+			sum.rel.CtlMessages += nctl
+			sum.totalBits += st.bits
+			if st.bits > sum.maxBits {
+				sum.maxBits = st.bits
 			}
-			if tr != nil {
-				if acc != nil {
-					acc.bitsSamples = append(acc.bitsSamples, st.bits)
-				} else {
-					n.traceBits = append(n.traceBits, st.bits)
-				}
+			if traced {
+				acc.bitsSamples = append(acc.bitsSamples, st.bits)
 			}
 			if st.halted {
-				anyHalted = true
+				sum.anyHalted = true
 			}
 		}
 	}
-	if rel.any() {
-		if acc != nil {
-			acc.rel.add(&rel)
-		} else {
-			n.roundRel.add(&rel)
-		}
-	}
-	return messages, totalBits, maxBits, anyHalted
+	acc.roundSums = sum
 }
 
-// sendRangeAsync is the event-scheduler send step: identical structure
-// and accounting to sendRange, but instead of appending to the
-// receiver's fill buffer each deliverable message is stamped with its
-// arrival tick (a pure function of seed, round, and edge — every
-// worker layout computes the same stamp) and parked in the receiver's
-// calendar. The DoS send-round check, fault injection, drop reasons,
-// and per-sender accounting are exactly those of sendRange; the
-// delivery-round blocked check happens in asyncInbox when the entry
-// comes due. Messages whose delay defers them past the next round are
-// counted by the accounting worker (deferred is therefore deterministic
-// too).
-func (n *Network) sendRangeAsync(plo, phi int, dlo, dhi int32, acc *shardAcc) (messages int, totalBits, maxBits int64, anyHalted bool) {
-	tr := n.tracer
-	inj := n.injector
-	slots := n.slots
-	blocked, anyB := n.blocked, n.blockedAny
-	lat, latSeed := n.lat, n.latSeed
+// deliverSlow handles one deliverable message when a fault injector or
+// the event scheduler is active. The injector decides how many copies
+// arrive; each copy goes to the receiver's fill buffer, or — in async
+// mode — into its calendar stamped with an arrival tick. The injector
+// and the tick are pure functions of the message identity, so the
+// delivering worker and the accounting worker (which may differ under
+// sharding) reach the same decision. Control-lane messages face the
+// same faults and delays but never enter the drop/dup ledger or the
+// deferral count. It returns 1 if the accounting worker must count the
+// message as deferred past the next round.
+func (n *Network) deliverSlow(m *Message, p int, deliver, mine bool, acc *shardAcc) (deferred int64) {
 	round := n.round
-	rtick := uint64(round) * tickScale
-	var deferred int64
-	var rel ReliabilityRoundStats
-	for p, norder := 0, len(n.order); p < norder; p++ {
-		s := n.order[p]
-		st := &slots[s]
-		mine := p >= plo && p < phi
-		out := st.outbox
-		nctl := 0
-		if anyB && blocked.Test(s) {
-			// Blocked sender: the whole outbox is discarded.
-			if mine && tr != nil {
-				for i := range out {
-					if out[i].lane != laneProtocol {
-						continue
-					}
-					if acc != nil {
-						acc.sendDrops = append(acc.sendDrops, dropEvent{
-							from: out[i].From, to: out[i].To, bits: out[i].Bits,
-							reason: DropBlockedSender,
-						})
-					} else {
-						tr.MessageDropped(round, DropBlockedSender, out[i].From, out[i].To, out[i].Bits)
-					}
+	copies := 1
+	if n.injector != nil {
+		copies = n.injector.Deliveries(round, m.From, m.To, m.seq)
+	}
+	if copies > 0 {
+		rcv := &n.slots[m.slot]
+		if n.async {
+			at := uint64(round)*tickScale + n.lat.delayTicks(n.latSeed, round, uint64(m.From), uint64(m.To))
+			ar := int32((at + tickScale - 1) / tickScale)
+			if ar <= int32(round) {
+				ar = int32(round) + 1
+			}
+			if deliver {
+				pm := pendingMsg{m: *m, tick: at, srnd: int32(round), pos: int32(p), rnd: ar}
+				for c := 0; c < copies; c++ {
+					rcv.future = append(rcv.future, pm)
 				}
 			}
-		} else {
-			for i := range out {
-				m := &out[i]
-				t := m.slot
-				if t >= 0 && !(anyB && blocked.Test(t)) {
-					deliver := t >= dlo && t < dhi
-					if deliver || mine {
-						copies := 1
-						if inj != nil {
-							copies = inj.Deliveries(round, m.From, m.To, m.seq)
-						}
-						if copies > 0 {
-							ticks := lat.delayTicks(latSeed, round, uint64(m.From), uint64(m.To))
-							at := rtick + ticks
-							ar := int32((at + tickScale - 1) / tickScale)
-							if ar <= int32(round) {
-								ar = int32(round) + 1
-							}
-							if deliver {
-								rcv := &slots[t]
-								pm := pendingMsg{m: *m, tick: at, srnd: int32(round), pos: int32(p), rnd: ar}
-								for c := 0; c < copies; c++ {
-									rcv.future = append(rcv.future, pm)
-								}
-							}
-							if mine && ar > int32(round)+1 && m.lane == laneProtocol {
-								deferred++
-							}
-						}
-						if mine && tr != nil && m.lane == laneProtocol {
-							if copies == 0 {
-								if acc != nil {
-									acc.sendDrops = append(acc.sendDrops, dropEvent{
-										from: m.From, to: m.To, bits: m.Bits,
-										reason: DropFaultInjected,
-									})
-								} else {
-									tr.MessageDropped(round, DropFaultInjected, m.From, m.To, m.Bits)
-								}
-							} else if copies > 1 && n.faultObs != nil {
-								if acc != nil {
-									acc.dups = append(acc.dups, dupEvent{
-										from: m.From, to: m.To, bits: m.Bits, copies: copies,
-									})
-								} else {
-									n.dupScratch = append(n.dupScratch, dupEvent{
-										from: m.From, to: m.To, bits: m.Bits, copies: copies,
-									})
-								}
-							}
-						}
-					}
-				} else if mine && tr != nil && m.lane == laneProtocol {
-					reason := DropBlockedReceiverSendRound
-					if t < 0 {
-						reason = DropDeadReceiver
-					}
-					if acc != nil {
-						acc.sendDrops = append(acc.sendDrops, dropEvent{
-							from: m.From, to: m.To, bits: m.Bits, reason: reason,
-						})
-					} else {
-						tr.MessageDropped(round, reason, m.From, m.To, m.Bits)
-					}
-				}
-				if mine {
-					if m.lane == laneProtocol {
-						st.bits += int64(m.Bits)
-					} else {
-						nctl++
-						rel.CtlBits += int64(m.Bits)
-						if m.lane == laneAck {
-							rel.Acks++
-						} else {
-							rel.Retransmits++
-						}
-					}
-				}
+			if mine && ar > int32(round)+1 && m.lane == laneProtocol {
+				deferred = 1
 			}
-			if mine {
-				messages += len(out) - nctl
-			}
-		}
-		if mine {
-			rel.CtlMessages += nctl
-			totalBits += st.bits
-			if st.bits > maxBits {
-				maxBits = st.bits
-			}
-			if tr != nil {
-				if acc != nil {
-					acc.bitsSamples = append(acc.bitsSamples, st.bits)
-				} else {
-					n.traceBits = append(n.traceBits, st.bits)
-				}
-			}
-			if st.halted {
-				anyHalted = true
+		} else if deliver {
+			for c := 0; c < copies; c++ {
+				rcv.inbox[rcv.fill] = append(rcv.inbox[rcv.fill], *m)
 			}
 		}
 	}
-	if rel.any() {
-		if acc != nil {
-			acc.rel.add(&rel)
-		} else {
-			n.roundRel.add(&rel)
+	if mine && n.tracer != nil && m.lane == laneProtocol {
+		if copies == 0 {
+			acc.drop(&acc.sendDrops, m, DropFaultInjected)
+		} else if copies > 1 && n.faultObs != nil {
+			acc.dups = append(acc.dups, dupEvent{from: m.From, to: m.To, bits: m.Bits, copies: copies})
 		}
 	}
-	if acc != nil {
-		acc.deferred = deferred
-	} else {
-		n.roundDeferred += deferred
-	}
-	return messages, totalBits, maxBits, anyHalted
+	return deferred
 }
 
 // reap removes departed nodes from the spawn order and recycles their
@@ -1179,36 +868,22 @@ func (n *Network) Run(rounds int) {
 	}
 }
 
-// Shutdown halts all remaining nodes and reaps any adapter goroutines.
-// It is pure teardown: no round runs, so Round() and the work log are
-// exactly as the last Step left them (no spurious RoundWork entry).
-// Handler nodes simply have their slots recycled; coroutine adapters
-// are woken with their kill flag set (all of them before any is waited
-// on, so the unwinds overlap) and unwind through their NextRound park
-// point. The shard worker pool, if started, is stopped as well.
+// Shutdown removes all remaining nodes and stops the worker pool. It is
+// pure teardown: no round runs, so Round() and the work log are exactly
+// as the last Step left them (no spurious RoundWork entry), and every
+// slot is recycled. A network stepped after Shutdown runs its shards
+// serially on the driver goroutine.
 func (n *Network) Shutdown() {
-	// Phase 1: wake every parked adapter goroutine. The resume channels
-	// are buffered, so the wakes do not serialize on the unwinds.
 	for _, s := range n.order {
-		if a, ok := n.slots[s].h.(*procAdapter); ok {
-			a.interrupt()
-		}
-	}
-	// Phase 2: freeSlot waits for each unwind (procAdapter.stop is a
-	// no-op for adapters already retired in phase 1's interrupt wait or
-	// never started).
-	for _, s := range n.order {
-		st := &n.slots[s]
-		delete(n.nodes, st.id)
+		delete(n.nodes, n.slots[s].id)
 		n.freeSlot(s)
 	}
 	n.order = n.order[:0]
-	n.stopPool()
+	n.pool.Close()
 }
 
 // Ctx is a node's handle to the network. It must only be used from the
-// node's own program — inside its Handler.OnRound call or on its Proc
-// goroutine.
+// node's own program, inside its Handler.OnRound call.
 type Ctx struct {
 	net  *Network
 	slot int32
@@ -1216,9 +891,7 @@ type Ctx struct {
 	// stable for the node's lifetime, so holding the generator inline
 	// saves one allocation per node — at n=1M that is a full object
 	// (plus header) per node of footprint.
-	rng          rng.RNG
-	adapter      *procAdapter // non-nil only for coroutine nodes
-	pendingFirst []Message
+	rng rng.RNG
 	// lookup is a tiny direct-mapped NodeID→slot cache in front of the
 	// network's id map: protocols overwhelmingly re-send to the same
 	// few neighbors, and a hit avoids the shared map probe entirely.
@@ -1285,12 +958,6 @@ func (c *Ctx) Round() int { return c.net.round }
 
 // RNG returns the node's private deterministic generator.
 func (c *Ctx) RNG() *rng.RNG { return &c.rng }
-
-// FirstInbox returns the messages delivered in the node's first round.
-// It is empty for freshly spawned nodes (nothing can have been sent to
-// an id before it existed) but exposed for completeness. Handler nodes
-// receive their first inbox as the first OnRound argument instead.
-func (c *Ctx) FirstInbox() []Message { return c.pendingFirst }
 
 // Send queues a message for delivery in the next round. bits is the
 // message size for communication-work accounting. When a send hook is
@@ -1378,26 +1045,6 @@ func (c *Ctx) ObserveAckDelay(rounds int) {
 	}
 	c.rel.dirty = true
 	c.rel.ackDelay[b]++
-}
-
-// NextRound ends the node's current round and blocks until the next one
-// begins, returning the messages delivered to the node. It is the
-// coroutine form's round barrier and must only be called from a Proc;
-// handler nodes receive each round's inbox as an OnRound argument. The
-// returned slice is only valid until the node's following NextRound
-// call: the network recycles inbox buffers, so protocols must copy any
-// messages they keep across rounds.
-func (c *Ctx) NextRound() []Message {
-	a := c.adapter
-	if a == nil {
-		panic("sim: Ctx.NextRound called from a handler node (use the OnRound inbox instead)")
-	}
-	a.yield <- true
-	inbox := <-a.resume
-	if a.kill {
-		panic(haltSignal{})
-	}
-	return inbox
 }
 
 // IDBits returns the size in bits of a node identifier in a network of

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// echoPair spawns two nodes that ping-pong a counter and records what
-// each receives per round into the returned slices.
+// TestPingPongDelivery spawns two nodes that ping-pong a counter and
+// records what each receives.
 func TestPingPongDelivery(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	var got [2][]int
@@ -14,16 +14,13 @@ func TestPingPongDelivery(t *testing.T) {
 		self := NodeID(i)
 		peer := NodeID(1 - i)
 		idx := i
-		net.Spawn(self, func(ctx *Ctx) {
-			ctx.Send(peer, 100+idx, 8)
-			for r := 0; r < 5; r++ {
-				inbox := ctx.NextRound()
-				for _, m := range inbox {
-					got[idx] = append(got[idx], m.Payload.(int))
-				}
-				ctx.Send(peer, 100+idx, 8)
+		net.SpawnHandler(self, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+			for _, m := range inbox {
+				got[idx] = append(got[idx], m.Payload.(int))
 			}
-		})
+			ctx.Send(peer, 100+idx, 8)
+			return ctx.Round() < 6
+		}))
 	}
 	net.Run(6)
 	net.Shutdown()
@@ -43,19 +40,19 @@ func TestMessagesTakeOneRound(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	var recvRound atomic.Int64
 	recvRound.Store(-1)
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "x", 1)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for {
-			inbox := ctx.NextRound()
-			if len(inbox) > 0 {
-				recvRound.Store(int64(ctx.Round()))
-				return
-			}
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if ctx.Round() == 1 {
+			ctx.Send(2, "x", 1)
 		}
-	})
+		return ctx.Round() < 2
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+		if len(inbox) > 0 {
+			recvRound.Store(int64(ctx.Round()))
+			return false
+		}
+		return true
+	}))
 	net.Run(3)
 	net.Shutdown()
 	if recvRound.Load() != 2 {
@@ -69,21 +66,23 @@ func TestDeterministicInboxOrder(t *testing.T) {
 		var order []uint64
 		for i := 2; i <= 9; i++ {
 			id := NodeID(i)
-			net.Spawn(id, func(ctx *Ctx) {
-				// Random extra messages to shake ordering.
-				k := ctx.RNG().Intn(3) + 1
-				for j := 0; j < k; j++ {
-					ctx.Send(1, uint64(id)*100+uint64(j), 4)
+			net.SpawnHandler(id, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+				if ctx.Round() == 1 {
+					// Random extra messages to shake ordering.
+					k := ctx.RNG().Intn(3) + 1
+					for j := 0; j < k; j++ {
+						ctx.Send(1, uint64(id)*100+uint64(j), 4)
+					}
 				}
-				ctx.NextRound()
-			})
+				return ctx.Round() < 2
+			}))
 		}
-		net.Spawn(1, func(ctx *Ctx) {
-			inbox := ctx.NextRound()
+		net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
 			for _, m := range inbox {
 				order = append(order, m.Payload.(uint64))
 			}
-		})
+			return ctx.Round() < 2
+		}))
 		net.Run(2)
 		net.Shutdown()
 		return order
@@ -108,16 +107,16 @@ func TestDeterministicInboxOrder(t *testing.T) {
 func TestBlockedSenderDropsMessages(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	var received atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "x", 1)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 3; i++ {
-			inbox := ctx.NextRound()
-			received.Add(int64(len(inbox)))
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if ctx.Round() == 1 {
+			ctx.Send(2, "x", 1)
 		}
-	})
+		return ctx.Round() < 2
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+		received.Add(int64(len(inbox)))
+		return ctx.Round() < 4
+	}))
 	net.SetBlocked(map[NodeID]bool{1: true}) // sender blocked at send round
 	net.Run(4)
 	net.Shutdown()
@@ -129,16 +128,16 @@ func TestBlockedSenderDropsMessages(t *testing.T) {
 func TestBlockedReceiverAtSendRoundDrops(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	var received atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "x", 1)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 3; i++ {
-			inbox := ctx.NextRound()
-			received.Add(int64(len(inbox)))
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if ctx.Round() == 1 {
+			ctx.Send(2, "x", 1)
 		}
-	})
+		return ctx.Round() < 2
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+		received.Add(int64(len(inbox)))
+		return ctx.Round() < 4
+	}))
 	// Receiver blocked in the SEND round i: message must be dropped
 	// even though the receiver is free in round i+1.
 	net.SetBlocked(map[NodeID]bool{2: true})
@@ -152,16 +151,16 @@ func TestBlockedReceiverAtSendRoundDrops(t *testing.T) {
 func TestBlockedReceiverAtDeliveryRoundDrops(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	var received atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "x", 1)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 3; i++ {
-			inbox := ctx.NextRound()
-			received.Add(int64(len(inbox)))
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if ctx.Round() == 1 {
+			ctx.Send(2, "x", 1)
 		}
-	})
+		return ctx.Round() < 2
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+		received.Add(int64(len(inbox)))
+		return ctx.Round() < 4
+	}))
 	net.Step() // round 1: send happens, nobody blocked
 	net.SetBlocked(map[NodeID]bool{2: true})
 	net.Step() // round 2: delivery round, receiver blocked -> dropped
@@ -176,21 +175,19 @@ func TestUnblockedDeliveryUnderOtherBlocking(t *testing.T) {
 	// Blocking node 3 must not disturb 1 -> 2 traffic.
 	net := NewNetwork(Config{Seed: 1})
 	var received atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "x", 1)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 3; i++ {
-			inbox := ctx.NextRound()
-			received.Add(int64(len(inbox)))
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if ctx.Round() == 1 {
+			ctx.Send(2, "x", 1)
 		}
-	})
-	net.Spawn(3, func(ctx *Ctx) {
-		for i := 0; i < 3; i++ {
-			ctx.NextRound()
-		}
-	})
+		return ctx.Round() < 2
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+		received.Add(int64(len(inbox)))
+		return ctx.Round() < 4
+	}))
+	net.SpawnHandler(3, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		return ctx.Round() < 4
+	}))
 	net.SetBlocked(map[NodeID]bool{3: true})
 	net.Step()
 	net.SetBlocked(map[NodeID]bool{3: true})
@@ -205,12 +202,10 @@ func TestUnblockedDeliveryUnderOtherBlocking(t *testing.T) {
 func TestBlockedNodeStillComputes(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	var steps atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		for i := 0; i < 4; i++ {
-			steps.Add(1)
-			ctx.NextRound()
-		}
-	})
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		steps.Add(1)
+		return ctx.Round() < 5
+	}))
 	for i := 0; i < 4; i++ {
 		net.SetBlocked(map[NodeID]bool{1: true})
 		net.Step()
@@ -223,14 +218,12 @@ func TestBlockedNodeStillComputes(t *testing.T) {
 
 func TestNodeLeavesWhenProcReturns(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 5; i++ {
-			ctx.NextRound()
-		}
-	})
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		return ctx.Round() < 2
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		return ctx.Round() < 6
+	}))
 	net.Step()
 	net.Step()
 	if net.Exists(1) {
@@ -247,16 +240,15 @@ func TestNodeLeavesWhenProcReturns(t *testing.T) {
 
 func TestMessageToDepartedNodeDropped(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
-	net.Spawn(1, func(ctx *Ctx) {
-		// leaves immediately after round 1
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		ctx.NextRound() // round 1
-		ctx.NextRound() // round 2
-		ctx.Send(1, "late", 1)
-		ctx.NextRound() // round 3
-	})
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		return ctx.Round() < 2 // leaves at the end of round 2
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if ctx.Round() == 3 {
+			ctx.Send(1, "late", 1)
+		}
+		return ctx.Round() < 4
+	}))
 	net.Run(4) // must not panic or deadlock
 	net.Shutdown()
 }
@@ -264,12 +256,10 @@ func TestMessageToDepartedNodeDropped(t *testing.T) {
 func TestKill(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	var steps atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		for {
-			steps.Add(1)
-			ctx.NextRound()
-		}
-	})
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		steps.Add(1)
+		return true
+	}))
 	net.Step()
 	net.Step()
 	net.Kill(1)
@@ -285,27 +275,26 @@ func TestKill(t *testing.T) {
 
 func TestDuplicateSpawnPanics(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
-	net.Spawn(1, func(ctx *Ctx) {})
+	stay := HandlerFunc(func(*Ctx, []Message) bool { return true })
+	net.SpawnHandler(1, stay)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate spawn did not panic")
 		}
 		net.Shutdown()
 	}()
-	net.Spawn(1, func(ctx *Ctx) {})
+	net.SpawnHandler(1, stay)
 }
 
 func TestWorkAccounting(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "a", 10)
-		ctx.NextRound()
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		ctx.NextRound()
-		ctx.NextRound()
-	})
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if ctx.Round() == 1 {
+			ctx.Send(2, "a", 10)
+		}
+		return true
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(*Ctx, []Message) bool { return true }))
 	net.Run(2)
 	net.Shutdown()
 	w := net.Work()
@@ -326,14 +315,13 @@ func TestWorkAccounting(t *testing.T) {
 
 func TestBlockedWorkNotCounted(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
-	net.Spawn(1, func(ctx *Ctx) {
-		ctx.Send(2, "a", 10)
-		ctx.NextRound()
-	})
-	net.Spawn(2, func(ctx *Ctx) {
-		ctx.NextRound()
-		ctx.NextRound()
-	})
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if ctx.Round() == 1 {
+			ctx.Send(2, "a", 10)
+		}
+		return true
+	}))
+	net.SpawnHandler(2, HandlerFunc(func(*Ctx, []Message) bool { return true }))
 	net.SetBlocked(map[NodeID]bool{1: true})
 	net.Run(2)
 	net.Shutdown()
@@ -349,10 +337,10 @@ func TestRNGPerNodeDeterministic(t *testing.T) {
 		var out [2]uint64
 		for i := 0; i < 2; i++ {
 			idx := i
-			net.Spawn(NodeID(i+1), func(ctx *Ctx) {
+			net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
 				out[idx] = ctx.RNG().Uint64()
-				ctx.NextRound()
-			})
+				return false
+			}))
 		}
 		net.Run(1)
 		net.Shutdown()
@@ -370,17 +358,15 @@ func TestRNGPerNodeDeterministic(t *testing.T) {
 func TestSpawnMidRun(t *testing.T) {
 	net := NewNetwork(Config{Seed: 1})
 	var recv atomic.Int64
-	net.Spawn(1, func(ctx *Ctx) {
-		for i := 0; i < 6; i++ {
-			inbox := ctx.NextRound()
-			recv.Add(int64(len(inbox)))
-		}
-	})
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+		recv.Add(int64(len(inbox)))
+		return true
+	}))
 	net.Step()
-	net.Spawn(2, func(ctx *Ctx) {
+	net.SpawnHandler(2, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
 		ctx.Send(1, "hello", 1)
-		ctx.NextRound()
-	})
+		return false
+	}))
 	net.Run(3)
 	net.Shutdown()
 	if recv.Load() != 1 {
@@ -398,26 +384,26 @@ func TestIDBits(t *testing.T) {
 }
 
 func TestManyNodesBarrier(t *testing.T) {
-	// Smoke test that thousands of goroutine nodes synchronize cleanly.
+	// Smoke test that thousands of nodes step through a ring exchange.
 	const n = 2000
 	net := NewNetwork(Config{Seed: 5})
 	var total atomic.Int64
 	for i := 0; i < n; i++ {
 		id := NodeID(i + 1)
-		net.Spawn(id, func(ctx *Ctx) {
-			next := NodeID(uint64(id)%n + 1)
-			for r := 0; r < 3; r++ {
-				ctx.Send(next, 1, 1)
-				inbox := ctx.NextRound()
-				total.Add(int64(len(inbox)))
+		next := NodeID(uint64(id)%n + 1)
+		net.SpawnHandler(id, HandlerFunc(func(ctx *Ctx, inbox []Message) bool {
+			total.Add(int64(len(inbox)))
+			if ctx.Round() > 3 {
+				return false
 			}
-		})
+			ctx.Send(next, 1, 1)
+			return true
+		}))
 	}
 	net.Run(4)
 	net.Shutdown()
-	// Each of n nodes receives one message in rounds 2..4 except the
-	// final round's sends (delivered after the procs stopped reading).
-	want := int64(n * 2)
+	// Each of n nodes receives one message in each of rounds 2..4.
+	want := int64(n * 3)
 	if total.Load() < want {
 		t.Fatalf("total deliveries %d < %d", total.Load(), want)
 	}
@@ -427,11 +413,7 @@ func BenchmarkBarrier1kNodes(b *testing.B) {
 	net := NewNetwork(Config{Seed: 1})
 	const n = 1000
 	for i := 0; i < n; i++ {
-		net.Spawn(NodeID(i+1), func(ctx *Ctx) {
-			for {
-				ctx.NextRound()
-			}
-		})
+		net.SpawnHandler(NodeID(i+1), HandlerFunc(func(*Ctx, []Message) bool { return true }))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

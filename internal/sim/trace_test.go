@@ -40,35 +40,29 @@ func TestDropReasonAccounting(t *testing.T) {
 
 	// Node 1 sends to 2, 3 and 4 in rounds 1-4, then departs (during
 	// round 5).
-	net.Spawn(1, func(ctx *Ctx) {
-		for i := 0; i < 4; i++ {
+	net.SpawnHandler(1, HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+		if ctx.Round() <= 4 {
 			ctx.Send(2, "m", 8)
 			ctx.Send(3, "m", 8)
 			ctx.Send(4, "m", 8)
-			ctx.NextRound()
 		}
-	})
+		return ctx.Round() < 5
+	}))
 	var got2, got3 atomic.Int64
-	net.Spawn(2, func(ctx *Ctx) {
-		for i := 0; i < 8; i++ {
-			got2.Add(int64(len(ctx.NextRound())))
-		}
-	})
-	net.Spawn(3, func(ctx *Ctx) {
-		for i := 0; i < 8; i++ {
-			got3.Add(int64(len(ctx.NextRound())))
-		}
-	})
+	net.SpawnHandler(2, HandlerFunc(func(_ *Ctx, inbox []Message) bool {
+		got2.Add(int64(len(inbox)))
+		return true
+	}))
+	net.SpawnHandler(3, HandlerFunc(func(_ *Ctx, inbox []Message) bool {
+		got3.Add(int64(len(inbox)))
+		return true
+	}))
 	// Node 4 departs after round 1: its round-1 delivery lands (it is
 	// reaped only at the end of the round), every later send to it is
 	// a dead-receiver drop.
-	net.Spawn(4, func(ctx *Ctx) {})
+	net.SpawnHandler(4, HandlerFunc(func(*Ctx, []Message) bool { return false }))
 	// Node 5 exists only to be killed.
-	net.Spawn(5, func(ctx *Ctx) {
-		for {
-			ctx.NextRound()
-		}
-	})
+	net.SpawnHandler(5, HandlerFunc(func(*Ctx, []Message) bool { return true }))
 
 	net.Step() // round 1: all three sends counted, node 4 departs
 	net.Kill(5)
@@ -139,18 +133,16 @@ func TestRoundStatsDistributions(t *testing.T) {
 	const n = 16
 	for i := 0; i < n; i++ {
 		idx := i
-		net.Spawn(NodeID(i+1), func(ctx *Ctx) {
-			for {
-				// Node 1 fans out to everyone; others stay silent, so the
-				// inbox and bits distributions are skewed.
-				if idx == 0 {
-					for j := 1; j < n; j++ {
-						ctx.Send(NodeID(j+1), "x", 32)
-					}
+		net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+			// Node 1 fans out to everyone; others stay silent, so the
+			// inbox and bits distributions are skewed.
+			if idx == 0 {
+				for j := 1; j < n; j++ {
+					ctx.Send(NodeID(j+1), "x", 32)
 				}
-				ctx.NextRound()
 			}
-		})
+			return true
+		}))
 	}
 	net.Step()
 	net.SetBlocked(map[NodeID]bool{2: true})
@@ -196,15 +188,13 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 		net.SetTracer(tr)
 		for i := 0; i < 32; i++ {
 			idx := i
-			net.Spawn(NodeID(i+1), func(ctx *Ctx) {
-				for {
-					k := int(ctx.RNG().Intn(4))
-					for j := 0; j < k; j++ {
-						ctx.Send(NodeID((idx+j+1)%32+1), j, 16)
-					}
-					ctx.NextRound()
+			net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+				k := int(ctx.RNG().Intn(4))
+				for j := 0; j < k; j++ {
+					ctx.Send(NodeID((idx+j+1)%32+1), j, 16)
 				}
-			})
+				return true
+			}))
 		}
 		for r := 0; r < 8; r++ {
 			if r%3 == 1 {
@@ -228,17 +218,15 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 }
 
 // TestShutdownDoesNotPolluteAccounting is the regression test for the
-// old Shutdown behavior, which ran a full Step to reap goroutines and
+// old Shutdown behavior, which ran a full Step to reap its nodes and
 // thereby incremented Round() and appended a spurious RoundWork entry.
 func TestShutdownDoesNotPolluteAccounting(t *testing.T) {
 	net := NewNetwork(Config{Seed: 5})
 	for i := 0; i < 8; i++ {
-		net.Spawn(NodeID(i+1), func(ctx *Ctx) {
-			for {
-				ctx.Send(NodeID(1), "x", 8)
-				ctx.NextRound()
-			}
-		})
+		net.SpawnHandler(NodeID(i+1), HandlerFunc(func(ctx *Ctx, _ []Message) bool {
+			ctx.Send(NodeID(1), "x", 8)
+			return true
+		}))
 	}
 	net.Run(3)
 	round, entries := net.Round(), len(net.Work())
@@ -258,15 +246,11 @@ func TestShutdownDoesNotPolluteAccounting(t *testing.T) {
 }
 
 // TestShutdownBeforeAnyStep reaps nodes that were spawned but never
-// stepped (they are parked at their initial resume point).
+// stepped.
 func TestShutdownBeforeAnyStep(t *testing.T) {
 	net := NewNetwork(Config{Seed: 6})
 	for i := 0; i < 4; i++ {
-		net.Spawn(NodeID(i+1), func(ctx *Ctx) {
-			for {
-				ctx.NextRound()
-			}
-		})
+		net.SpawnHandler(NodeID(i+1), HandlerFunc(func(*Ctx, []Message) bool { return true }))
 	}
 	net.Shutdown()
 	if net.Round() != 0 || len(net.Work()) != 0 || net.NumAlive() != 0 {
@@ -281,7 +265,7 @@ func TestShutdownBeforeAnyStep(t *testing.T) {
 // the tracing hooks cost nothing when disabled: a steady-state flood
 // round must stay at zero allocations without a tracer.
 func TestNilTracerSteadyStateZeroAllocs(t *testing.T) {
-	net := floodNet(256, 4)
+	net := floodNet(256, 4, 0)
 	net.DisableWorkLog()
 	net.Run(2) // reach buffer steady state
 	allocs := testing.AllocsPerRun(20, func() { net.Step() })

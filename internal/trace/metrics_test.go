@@ -22,14 +22,12 @@ func floodNet(n, fanout, shards int, tr sim.Tracer) *sim.Network {
 	}
 	for i := 0; i < n; i++ {
 		idx := i
-		net.Spawn(sim.NodeID(i+1), func(ctx *sim.Ctx) {
-			for {
-				for j := 1; j <= fanout; j++ {
-					ctx.Send(sim.NodeID((idx+j)%n+1), "f", 64)
-				}
-				ctx.NextRound()
+		net.SpawnHandler(sim.NodeID(i+1), sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
+			for j := 1; j <= fanout; j++ {
+				ctx.Send(sim.NodeID((idx+j)%n+1), "f", 64)
 			}
-		})
+			return true
+		}))
 	}
 	return net
 }
@@ -330,7 +328,8 @@ func TestJSONLCarriesMetricsLine(t *testing.T) {
 // n=1k with the full metrics pipeline attached (registry + streaming
 // histograms, no event retention) — the attached half of the overhead
 // pair whose detached half is sim.BenchmarkStepAllocs. CI runs it to
-// keep the hot path honest; BENCH_SIM.json records the comparison.
+// keep the hot path honest; bash perfbench/run.sh records the
+// end-to-end counterpart (trace.overhead_share).
 func BenchmarkStepMetricsAttached(b *testing.B) {
 	reg := obs.NewRegistry(0)
 	rec := New().WithMetrics(reg)
@@ -348,8 +347,8 @@ func BenchmarkStepMetricsAttached(b *testing.B) {
 
 // benchScaleFlood measures one steady-state event-driven flood round
 // (the S2 workload: handler kernel, fanout 4 random targets) with the
-// metrics pipeline attached or detached — the pair BENCH_SIM.json's
-// metrics_pipeline_overhead section records at n=100k and n=1M.
+// metrics pipeline attached or detached, at n=100k and n=1M; bash
+// perfbench/run.sh measures the same attachment end to end.
 func benchScaleFlood(b *testing.B, n int, attach bool) {
 	net := sim.NewNetwork(sim.Config{Seed: 7, SizeHint: n})
 	if attach {

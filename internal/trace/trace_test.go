@@ -18,30 +18,18 @@ import (
 func scenario(rec *Recorder) {
 	net := sim.NewNetwork(sim.Config{Seed: 9})
 	net.SetTracer(rec.Tracer("test"))
-	net.Spawn(1, func(ctx *sim.Ctx) {
-		for i := 0; i < 4; i++ {
+	net.SpawnHandler(1, sim.HandlerFunc(func(ctx *sim.Ctx, _ []sim.Message) bool {
+		if ctx.Round() <= 4 {
 			ctx.Send(2, "m", 8)
 			ctx.Send(3, "m", 8)
 			ctx.Send(4, "m", 8)
-			ctx.NextRound()
 		}
-	})
-	net.Spawn(2, func(ctx *sim.Ctx) {
-		for i := 0; i < 8; i++ {
-			ctx.NextRound()
-		}
-	})
-	net.Spawn(3, func(ctx *sim.Ctx) {
-		for i := 0; i < 8; i++ {
-			ctx.NextRound()
-		}
-	})
-	net.Spawn(4, func(ctx *sim.Ctx) {}) // departs after round 1
-	net.Spawn(5, func(ctx *sim.Ctx) {
-		for {
-			ctx.NextRound()
-		}
-	})
+		return ctx.Round() < 5
+	}))
+	net.SpawnHandler(2, sim.HandlerFunc(func(*sim.Ctx, []sim.Message) bool { return true }))
+	net.SpawnHandler(3, sim.HandlerFunc(func(*sim.Ctx, []sim.Message) bool { return true }))
+	net.SpawnHandler(4, sim.HandlerFunc(func(*sim.Ctx, []sim.Message) bool { return false })) // departs after round 1
+	net.SpawnHandler(5, sim.HandlerFunc(func(*sim.Ctx, []sim.Message) bool { return true }))
 
 	net.Step()
 	net.Kill(5)
