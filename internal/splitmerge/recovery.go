@@ -16,10 +16,7 @@ import (
 // open partition cut), largest first, as member indices in Members()
 // order — recovery experiments use the component sizes as the
 // degraded-mode service measure.
-func (nw *Network) KnowledgeComponents() [][]int {
-	g, _, _ := nw.knowledgeGraph()
-	return g.Components()
-}
+func (nw *Network) KnowledgeComponents() [][]int { return nw.eng.KnowledgeComponents() }
 
 // checkLabelCoverage verifies that the supernode labels form an exact
 // partition of the label space (the invariant behind ownerOf and the
@@ -51,7 +48,7 @@ func (nw *Network) checkLabelCoverage() []audit.Violation {
 }
 
 // CorruptState implements fault.Corrupter: selected by pick, it either
-// desynchronizes one member's nodeSuper index entry (heals at the next
+// desynchronizes one member's membership-index entry (heals at the next
 // commit's reindex; the membership auditor fires until then) or mutates
 // a supernode's dimension — relabeling it to its own 0-child, which
 // punches a coverage hole at the 1-sibling and skews the 2^{−d(x)}
@@ -67,9 +64,9 @@ func (nw *Network) CorruptState(pick uint64) string {
 			return ""
 		}
 		id := members[int((pick>>8)%uint64(len(members)))]
-		x := nw.nodeSuper[id-1]
+		x := nw.eng.NodeGroup[id-1]
 		y := (int(x) + 1 + int((pick>>40)%uint64(len(nw.supers)-1))) % len(nw.supers)
-		nw.nodeSuper[id-1] = int32(y)
+		nw.eng.NodeGroup[id-1] = int32(y)
 		return fmt.Sprintf("node %d nodeSuper index desynced %d -> %d", id, x, y)
 	}
 	si := int((pick >> 8) % uint64(len(nw.supers)))
@@ -80,9 +77,9 @@ func (nw *Network) CorruptState(pick uint64) string {
 	old := s.label
 	s.label = old.Child(0)
 	nw.sortSupers()
-	// The vid tables index by label; rebuild so in-flight sampling
-	// messages route exactly as the serial per-message label search
-	// would against the mutated tree.
+	// The vid tables and the engine's groups follow the label order;
+	// rebuild them so in-flight sampling messages route by the mutated
+	// tree.
 	nw.fillVidTables()
 	return fmt.Sprintf("group %v dimension mutated to %v (coverage hole at %v)", old, s.label, old.Child(1))
 }
@@ -95,7 +92,7 @@ func (nw *Network) CorruptState(pick uint64) string {
 // membership index is rebuilt last. Returns the number of structural
 // fixes applied (0 when the tree was already a legal partition).
 func (nw *Network) RepairBalance() int {
-	nw.metrics.AddRepairs(1)
+	nw.eng.Metrics().AddRepairs(1)
 	fixes := 0
 	// Collapse overlapping subtrees: if one label is an ancestor of (or
 	// equal to) another, merge the whole subtree under the shorter label.
@@ -152,27 +149,27 @@ func (nw *Network) RepairBalance() int {
 	return fixes
 }
 
-// RepairMembership reconciles the nodeSuper index with the committed
+// RepairMembership reconciles the membership index with the committed
 // group lists (the cheap half of repair, sufficient for pure index
 // desync): every committed member's index entry is rewritten from its
 // group, and stale index entries for unknown nodes are dropped.
 // Returns the number of entries fixed.
 func (nw *Network) RepairMembership() int {
-	nw.metrics.AddRepairs(1)
+	nw.eng.Metrics().AddRepairs(1)
 	fixes := 0
-	seen := make([]bool, len(nw.nodeSuper))
+	seen := make([]bool, len(nw.eng.NodeGroup))
 	for x, s := range nw.supers {
 		for _, id := range s.members {
 			seen[id-1] = true
-			if nw.nodeSuper[id-1] != int32(x) {
-				nw.nodeSuper[id-1] = int32(x)
+			if nw.eng.NodeGroup[id-1] != int32(x) {
+				nw.eng.NodeGroup[id-1] = int32(x)
 				fixes++
 			}
 		}
 	}
-	for v := range nw.nodeSuper {
-		if nw.nodeSuper[v] >= 0 && !seen[v] {
-			nw.nodeSuper[v] = -1
+	for v := range nw.eng.NodeGroup {
+		if nw.eng.NodeGroup[v] >= 0 && !seen[v] {
+			nw.eng.NodeGroup[v] = -1
 			fixes++
 		}
 	}

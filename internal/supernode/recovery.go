@@ -18,11 +18,10 @@ func sortIDs(ids []sim.NodeID) { slices.Sort(ids) }
 
 // KnowledgeComponents returns the connected components of the current
 // knowledge-based overlay (the graph ConnectedNow tests, including any
-// open partition cut), largest first — recovery experiments use the
-// component sizes as the degraded-mode service measure.
-func (nw *Network) KnowledgeComponents() [][]int {
-	return nw.knowledgeGraph().Components()
-}
+// open partition cut), largest first, as node slots — recovery
+// experiments use the component sizes as the degraded-mode service
+// measure.
+func (nw *Network) KnowledgeComponents() [][]int { return nw.eng.KnowledgeComponents() }
 
 // CorruptState implements fault.Corrupter: it perturbs the live
 // replicated group state in one of three ways selected by pick —
@@ -39,25 +38,25 @@ func (nw *Network) CorruptState(pick uint64) string {
 	}
 	v := int((pick >> 8) % uint64(n))
 	id := sim.NodeID(v + 1)
-	x := int(nw.nodeGroup[v])
+	x := int(nw.eng.NodeGroup[v])
 	switch pick % 3 {
 	case 0:
 		y := (x + 1 + int((pick>>40)%uint64(nw.nSuper-1))) % nw.nSuper
-		nw.nodeGroup[v] = int32(y)
+		nw.eng.NodeGroup[v] = int32(y)
 		return fmt.Sprintf("node %d nodeGroup pointer desynced %d -> %d", id, x, y)
 	case 1:
-		g := nw.groups[x]
+		g := nw.eng.Groups[x]
 		for i, u := range g {
 			if u == id {
-				nw.groups[x] = append(g[:i:i], g[i+1:]...)
+				nw.eng.Groups[x] = append(g[:i:i], g[i+1:]...)
 				return fmt.Sprintf("node %d erased from group %d's replicated state", id, x)
 			}
 		}
 		return ""
 	default:
 		y := (x + 1 + int((pick>>40)%uint64(nw.nSuper-1))) % nw.nSuper
-		nw.groups[y] = append(nw.groups[y], id)
-		sortIDs(nw.groups[y])
+		nw.eng.Groups[y] = append(nw.eng.Groups[y], id)
+		sortIDs(nw.eng.Groups[y])
 		return fmt.Sprintf("node %d duplicated into group %d (home %d)", id, y, x)
 	}
 }
@@ -71,11 +70,11 @@ func (nw *Network) CorruptState(pick uint64) string {
 // pointers are rebuilt from the final lists. Returns the number of
 // fixes applied; zero means the partition was already consistent.
 func (nw *Network) RepairGroups() int {
-	nw.metrics.AddRepairs(1)
+	nw.eng.Metrics().AddRepairs(1)
 	n := nw.cfg.N
 	fixes := 0
 	where := make([][]int, n) // groups currently listing each node
-	for x, g := range nw.groups {
+	for x, g := range nw.eng.Groups {
 		for _, id := range g {
 			v := int(id) - 1
 			if v >= 0 && v < n {
@@ -88,17 +87,17 @@ func (nw *Network) RepairGroups() int {
 		id := sim.NodeID(v + 1)
 		switch {
 		case len(where[v]) == 0:
-			x := int(nw.nodeGroup[v])
+			x := int(nw.eng.NodeGroup[v])
 			if x < 0 || x >= nw.nSuper {
-				x = int(nw.histAt(nw.epoch).nodeGroup[v])
+				x = int(nw.eng.CommittedGroup(v))
 			}
-			nw.groups[x] = append(nw.groups[x], id)
-			sortIDs(nw.groups[x])
+			nw.eng.Groups[x] = append(nw.eng.Groups[x], id)
+			sortIDs(nw.eng.Groups[x])
 			fixes++
 		case len(where[v]) > 1:
 			keep := where[v][0]
 			for _, x := range where[v] {
-				if int32(x) == nw.nodeGroup[v] {
+				if int32(x) == nw.eng.NodeGroup[v] {
 					keep = x
 					break
 				}
@@ -115,18 +114,18 @@ func (nw *Network) RepairGroups() int {
 		}
 	}
 	for x, ids := range remove {
-		g := nw.groups[x][:0]
-		for _, id := range nw.groups[x] {
+		g := nw.eng.Groups[x][:0]
+		for _, id := range nw.eng.Groups[x] {
 			if !ids[id] {
 				g = append(g, id)
 			}
 		}
-		nw.groups[x] = g
+		nw.eng.Groups[x] = g
 	}
-	for x, g := range nw.groups {
+	for x, g := range nw.eng.Groups {
 		for _, id := range g {
-			if nw.nodeGroup[int(id)-1] != int32(x) {
-				nw.nodeGroup[int(id)-1] = int32(x)
+			if nw.eng.NodeGroup[int(id)-1] != int32(x) {
+				nw.eng.NodeGroup[int(id)-1] = int32(x)
 				fixes++
 			}
 		}
