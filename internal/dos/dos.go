@@ -27,16 +27,39 @@ type Snapshot struct {
 // that is at least Lateness rounds old. Lateness 0 gives the adversary
 // real-time topology (the negative-control regime in which no overlay
 // of sublinear degree can survive).
+//
+// Snapshots are published in round order. The buffer keeps only what
+// a view of the newest round or later can still return: Publish drops
+// every snapshot older than the freshest one with Round ≤ newest −
+// Lateness, so at most Lateness+2 snapshots are retained when one is
+// published per round.
 type Buffer struct {
 	Lateness int
 	history  []*Snapshot
 }
 
-// Publish records the topology as of the given round.
-func (b *Buffer) Publish(s *Snapshot) { b.history = append(b.history, s) }
+// Publish records the topology as of the given round and drops the
+// snapshots no view of that round or later can return.
+func (b *Buffer) Publish(s *Snapshot) {
+	b.history = append(b.history, s)
+	keep := 0
+	for i := len(b.history) - 1; i >= 0; i-- {
+		if b.history[i].Round <= s.Round-b.Lateness {
+			keep = i
+			break
+		}
+	}
+	if keep > 0 {
+		n := copy(b.history, b.history[keep:])
+		clear(b.history[n:])
+		b.history = b.history[:n]
+	}
+}
 
 // View returns the freshest snapshot at least Lateness rounds older
-// than round, or nil if none exists yet.
+// than round, or nil if none exists yet. It is exact for every round at
+// or after the newest published snapshot's; earlier rounds may find
+// their snapshot already dropped.
 func (b *Buffer) View(round int) *Snapshot {
 	for i := len(b.history) - 1; i >= 0; i-- {
 		if b.history[i].Round <= round-b.Lateness {

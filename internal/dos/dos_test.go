@@ -38,6 +38,38 @@ func TestBufferLateness(t *testing.T) {
 	}
 }
 
+// TestBufferBoundedAndExact publishes one snapshot per round and checks
+// that the buffer stays within Lateness+2 snapshots while View, for
+// every round from the newest published one on, returns what an
+// unpruned history returns.
+func TestBufferBoundedAndExact(t *testing.T) {
+	for _, late := range []int{0, 1, 3, 17} {
+		b := &Buffer{Lateness: late}
+		var all []*Snapshot
+		ref := func(round int) *Snapshot {
+			for i := len(all) - 1; i >= 0; i-- {
+				if all[i].Round <= round-late {
+					return all[i]
+				}
+			}
+			return nil
+		}
+		for r := 1; r <= 1000; r++ {
+			s := snap(r)
+			all = append(all, s)
+			b.Publish(s)
+			if b.Len() > late+2 {
+				t.Fatalf("lateness %d: %d snapshots retained after round %d", late, b.Len(), r)
+			}
+			for q := r; q <= r+late+2; q++ {
+				if got, want := b.View(q), ref(q); got != want {
+					t.Fatalf("lateness %d, newest %d: View(%d) = %v, unpruned %v", late, r, q, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestRandomAdversaryBudget(t *testing.T) {
 	ids := make([]sim.NodeID, 100)
 	for i := range ids {

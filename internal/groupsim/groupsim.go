@@ -21,12 +21,15 @@
 // measurement. A node is available in round i iff it is non-blocked in
 // rounds i−1 and i (Section 1.1).
 //
-// Scale layout: per-node state is dense and slot-indexed (slot = id−1)
-// — RNGs as a flat []rng.RNG, the group index and view epochs as int32
-// slices, the blocked history and crash set as sim.Bitset — and every
-// per-round structure (multisets, queues, pending groups, history) is
-// an arena reused across rounds and epochs, so Step allocates nothing
-// in steady state outside the assign and commit rounds.
+// Scale layout: per-node state is dense and slot-indexed (slot =
+// id−1−base, see Slot and ID) — RNGs as a flat []rng.RNG, the group
+// index and view epochs as int32 slices, the blocked history and crash
+// set as sim.Bitset — and every per-round structure (multisets, queues,
+// pending groups, history, checker scratch) is an arena reused across
+// rounds and epochs, so Step allocates nothing in steady state outside
+// the assign and commit rounds. Under churn the topology retires the
+// dead id prefix (RetireBelow), so slot state stays proportional to
+// the live id span rather than to every id ever issued.
 package groupsim
 
 import (
@@ -35,7 +38,6 @@ import (
 	"overlaynet/internal/audit"
 	"overlaynet/internal/dos"
 	"overlaynet/internal/fault"
-	"overlaynet/internal/graph"
 	"overlaynet/internal/obs"
 	"overlaynet/internal/rng"
 	"overlaynet/internal/sim"
@@ -123,7 +125,9 @@ type Engine struct {
 	spec Spec
 	topo Topology
 
-	// Per-node state, slot-indexed (slot = id−1).
+	// Per-node state, slot-indexed (slot = id−1−base; see Slot, ID and
+	// RetireBelow). §5 never churns, so its base stays 0.
+	base      int
 	NodeR     []rng.RNG
 	NodeGroup []int32 // committed group, −1 = not a committed member
 	ViewEpoch []int32 // epoch whose assignment the node last received
@@ -174,6 +178,8 @@ type Engine struct {
 	histLen  int
 	histBase int
 	histFree []histEntry
+
+	uf ufScratch // knowledge-checker scratch (see ConnectedNow)
 
 	metrics *obs.StackMetrics
 	last    Counters
@@ -265,6 +271,52 @@ func (e *Engine) Grow(n int) {
 	}
 }
 
+// Slot returns node id's slot, negative for a retired id.
+func (e *Engine) Slot(id sim.NodeID) int { return int(id) - 1 - e.base }
+
+// ID returns the node id of slot v.
+func (e *Engine) ID(v int) sim.NodeID { return sim.NodeID(v + 1 + e.base) }
+
+// RetireBelow drops the slots of every id below lo, which the topology
+// guarantees are dead: neither committed, pending nor leaving. Only
+// whole 64-slot words are dropped, and only once they make up at least
+// half of the slots, so each shift's O(slots) cost is paid for by the
+// joins that filled them. Every slot-indexed array, bitset and history
+// entry moves down; ids, and with them every hash input and iteration
+// order, stay the same. Returns the number of slots dropped (0 or a
+// multiple of 64), which the topology drops from its own slot state.
+// Call it between Steps or from Topology.Commit.
+func (e *Engine) RetireBelow(lo sim.NodeID) int {
+	k := e.Slot(lo) &^ 63
+	if k <= 0 || 2*k < len(e.NodeR) {
+		return 0
+	}
+	e.base += k
+	e.NodeR = dropPrefix(e.NodeR, k)
+	e.NodeGroup = dropPrefix(e.NodeGroup, k)
+	e.ViewEpoch = dropPrefix(e.ViewEpoch, k)
+	for i, vs := range e.members {
+		e.members[i] = vs - int32(k)
+	}
+	for i := range e.blockedHist {
+		e.blockedHist[i] = sim.DropBitsetPrefix(e.blockedHist[i], k)
+	}
+	if e.wasCrashed != nil {
+		e.wasCrashed = sim.DropBitsetPrefix(e.wasCrashed, k)
+	}
+	for i := 0; i < e.histLen; i++ {
+		h := e.histAt(e.histBase + i)
+		h.nodeGroup = dropPrefix(h.nodeGroup, min(k, len(h.nodeGroup)))
+	}
+	return k
+}
+
+// dropPrefix moves s[k:] to the front of s's array and returns it.
+func dropPrefix[T any](s []T, k int) []T {
+	n := copy(s, s[k:])
+	return s[:n]
+}
+
 // Iterations returns T = ⌈log₂ dim⌉, the pointer-doubling iterations of
 // Algorithm 2 over a dim-dimensional cube.
 func Iterations(dim int) int {
@@ -335,7 +387,7 @@ func (e *Engine) Load(v int) (entries, queued int) {
 func (e *Engine) IndexGroups() {
 	for x, g := range e.Groups {
 		for _, id := range g {
-			e.NodeGroup[id-1] = int32(x)
+			e.NodeGroup[e.Slot(id)] = int32(x)
 		}
 	}
 	e.members = e.members[:0]
@@ -383,8 +435,8 @@ func (e *Engine) Record(adj [][]int32) {
 	e.histLen++
 
 	minE := e.Epoch
-	for v, x := range e.NodeGroup {
-		if x >= 0 && int(e.ViewEpoch[v]) < minE {
+	for _, v := range e.members {
+		if e.NodeGroup[v] >= 0 && int(e.ViewEpoch[v]) < minE {
 			minE = int(e.ViewEpoch[v])
 		}
 	}
@@ -518,10 +570,18 @@ func (e *Engine) Step(blocked map[sim.NodeID]bool) Report {
 	e.blockedHist[1] = e.blockedHist[0]
 	e.blockedHist[0] = b0
 	b0.Zero()
+	// Blocked counts every blocked id issued so far, [1, base+slots]:
+	// a retired id still counts, it just has no slot to mark.
 	count := 0
+	issued := sim.NodeID(e.base + len(e.NodeR))
 	for id, bl := range blocked {
-		if bl && id >= 1 && int(id) <= len(e.NodeR) && !b0.Test(int32(id-1)) {
-			b0.Set(int32(id - 1))
+		if !bl || id < 1 || id > issued {
+			continue
+		}
+		if v := e.Slot(id); v < 0 {
+			count++
+		} else if !b0.Test(int32(v)) {
+			b0.Set(int32(v))
 			count++
 		}
 	}
@@ -531,11 +591,12 @@ func (e *Engine) Step(blocked map[sim.NodeID]bool) Report {
 		// loses epoch updates while down (its view goes stale —
 		// volatile state), and on restart rejoins through the
 		// every-round S(x) broadcast.
-		for v, x := range e.NodeGroup {
-			if x < 0 {
+		for _, vs := range e.members {
+			v := int(vs)
+			if e.NodeGroup[v] < 0 {
 				continue
 			}
-			if e.crashedNow(sim.NodeID(v + 1)) {
+			if e.crashedNow(e.ID(v)) {
 				if !b0.Test(int32(v)) {
 					b0.Set(int32(v))
 					count++
@@ -678,7 +739,7 @@ func (e *Engine) leadersRange(w int) {
 		ld := int32(-1)
 		if !e.spec.RandomLeader {
 			for _, id := range e.Groups[x] {
-				v := int32(id - 1)
+				v := int32(e.Slot(id))
 				if !b0.Test(v) && !b1.Test(v) {
 					ld = v
 					break
@@ -687,7 +748,7 @@ func (e *Engine) leadersRange(w int) {
 		} else {
 			a.avail = a.avail[:0]
 			for _, id := range e.Groups[x] {
-				v := int32(id - 1)
+				v := int32(e.Slot(id))
 				if !b0.Test(v) && !b1.Test(v) {
 					a.avail = append(a.avail, v)
 				}
@@ -721,101 +782,15 @@ func (e *Engine) broadcastRange(w int) {
 		if x < 0 || b0.Test(vs) || b1.Test(vs) || e.ViewEpoch[v] == cur {
 			continue
 		}
-		id := sim.NodeID(v + 1)
+		id := e.ID(v)
 		for _, u := range e.Groups[x] {
-			if u != id && !b1.Test(int32(u-1)) && !b2.Test(int32(u-1)) &&
+			if us := int32(e.Slot(u)); u != id && !b1.Test(us) && !b2.Test(us) &&
 				(!cut || e.faults.Component(uint64(id)) == e.faults.Component(uint64(u))) {
 				e.ViewEpoch[v] = cur
 				break
 			}
 		}
 	}
-}
-
-// ConnectedNow reports whether the non-blocked committed members form a
-// connected graph under each member's current (possibly stale)
-// knowledge. While a partition window is open, cross-component
-// knowledge edges are treated as down — no message can traverse them,
-// so they cannot carry the overlay.
-func (e *Engine) ConnectedNow() bool {
-	g, alive := e.knowledgeGraph()
-	return g.IsConnectedRestricted(alive)
-}
-
-// KnowledgeComponents returns the connected components of the graph
-// ConnectedNow tests (including any open partition cut), largest
-// first, as indices of committed members in slot order.
-func (e *Engine) KnowledgeComponents() [][]int {
-	g, _ := e.knowledgeGraph()
-	return g.Components()
-}
-
-// knowledgeGraph materializes the knowledge-based overlay over the
-// committed members, indexed densely in slot order: each member
-// contributes the clique and bipartite edges of the epoch it last
-// received, minus any edge a currently open partition window severs.
-// It also returns which members are non-blocked this round.
-func (e *Engine) knowledgeGraph() (*graph.Graph, []bool) {
-	idx := make([]int32, len(e.NodeGroup))
-	m := 0
-	for v, x := range e.NodeGroup {
-		idx[v] = -1
-		if x >= 0 {
-			idx[v] = int32(m)
-			m++
-		}
-	}
-	alive := make([]bool, m)
-	var comp []int // partition component per member, only while a window is open
-	if e.faults.Partitioned(e.Round) {
-		comp = make([]int, m)
-	}
-	for v, i := range idx {
-		if i >= 0 {
-			alive[i] = !e.blockedHist[0].Test(int32(v))
-			if comp != nil {
-				comp[i] = e.faults.Component(uint64(v + 1))
-			}
-		}
-	}
-	g := graph.New(m)
-	seen := make(map[int64]bool)
-	addEdge := func(a, b int) {
-		if a == b || (comp != nil && comp[a] != comp[b]) {
-			return
-		}
-		if a > b {
-			a, b = b, a
-		}
-		key := int64(a)<<32 | int64(b)
-		if !seen[key] {
-			seen[key] = true
-			g.AddEdge(a, b)
-		}
-	}
-	for v, i := range idx {
-		if i < 0 {
-			continue
-		}
-		ep := min(max(int(e.ViewEpoch[v]), e.histBase), e.Epoch)
-		h := e.histAt(ep)
-		if v >= len(h.nodeGroup) || h.nodeGroup[v] < 0 {
-			continue
-		}
-		x := h.nodeGroup[v]
-		for k := -1; k < len(h.adj[x]); k++ { // own group, then each neighbor
-			y := x
-			if k >= 0 {
-				y = h.adj[x][k]
-			}
-			for _, u := range h.groups[y] {
-				if ui := idx[u-1]; ui >= 0 {
-					addEdge(int(i), int(ui))
-				}
-			}
-		}
-	}
-	return g, alive
 }
 
 // Snapshot publishes the committed topology at group granularity —

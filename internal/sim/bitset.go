@@ -52,3 +52,14 @@ func GrowBitset(b Bitset, n int) Bitset {
 	}
 	return b
 }
+
+// DropBitsetPrefix returns b without its first n bits, n a multiple of
+// 64: bit i+n becomes bit i. The words move down in place, keeping the
+// capacity.
+func DropBitsetPrefix(b Bitset, n int) Bitset {
+	if n%64 != 0 {
+		panic("sim: DropBitsetPrefix needs a whole number of words")
+	}
+	k := copy(b, b[min(n/64, len(b)):])
+	return b[:k]
+}

@@ -4,8 +4,9 @@ import "testing"
 
 // FuzzBitset drives the kernel's Bitset through an arbitrary operation
 // sequence, mirrored against a map reference: after every step the two
-// must agree on membership, growth must preserve existing bits, and no
-// input may panic. The Bitset carries the per-round blocked and kill
+// must agree on membership, growth must preserve existing bits,
+// dropping a word prefix must shift every bit down by 64, and no input
+// may panic. The Bitset carries the per-round blocked and kill
 // sets, so a single wrong bit silently mis-delivers messages.
 func FuzzBitset(f *testing.F) {
 	f.Add([]byte{0, 1, 1, 1, 2, 1, 3, 0}, uint16(64))
@@ -16,7 +17,7 @@ func FuzzBitset(f *testing.F) {
 		b := GrowBitset(nil, capBits)
 		ref := map[int32]bool{}
 		for i := 0; i+1 < len(ops); i += 2 {
-			op, arg := ops[i]%5, int32(ops[i+1])
+			op, arg := ops[i]%6, int32(ops[i+1])
 			switch op {
 			case 0: // set (grow first if out of range)
 				if int(arg) >= capBits {
@@ -38,6 +39,18 @@ func FuzzBitset(f *testing.F) {
 				capBits += int(arg)
 			case 4: // re-grow to a smaller size must be a no-op
 				b = GrowBitset(b, capBits/2)
+			case 5: // drop the first word; bit i+64 becomes bit i
+				if capBits > 64 {
+					b = DropBitsetPrefix(b, 64)
+					capBits -= 64
+					shifted := map[int32]bool{}
+					for bit := range ref {
+						if bit >= 64 {
+							shifted[bit-64] = true
+						}
+					}
+					ref = shifted
+				}
 			}
 			for bit := range ref {
 				if !b.Test(bit) {

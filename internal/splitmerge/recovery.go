@@ -64,9 +64,10 @@ func (nw *Network) CorruptState(pick uint64) string {
 			return ""
 		}
 		id := members[int((pick>>8)%uint64(len(members)))]
-		x := nw.eng.NodeGroup[id-1]
+		v := nw.eng.Slot(id)
+		x := nw.eng.NodeGroup[v]
 		y := (int(x) + 1 + int((pick>>40)%uint64(len(nw.supers)-1))) % len(nw.supers)
-		nw.eng.NodeGroup[id-1] = int32(y)
+		nw.eng.NodeGroup[v] = int32(y)
 		return fmt.Sprintf("node %d nodeSuper index desynced %d -> %d", id, x, y)
 	}
 	si := int((pick >> 8) % uint64(len(nw.supers)))
@@ -160,9 +161,10 @@ func (nw *Network) RepairMembership() int {
 	seen := make([]bool, len(nw.eng.NodeGroup))
 	for x, s := range nw.supers {
 		for _, id := range s.members {
-			seen[id-1] = true
-			if nw.eng.NodeGroup[id-1] != int32(x) {
-				nw.eng.NodeGroup[id-1] = int32(x)
+			v := nw.eng.Slot(id)
+			seen[v] = true
+			if nw.eng.NodeGroup[v] != int32(x) {
+				nw.eng.NodeGroup[v] = int32(x)
 				fixes++
 			}
 		}

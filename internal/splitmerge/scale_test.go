@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -349,5 +350,104 @@ func TestStepAllocsSteadyState(t *testing.T) {
 	}
 	for _, r := range bad {
 		t.Errorf("round %d (phase %d) allocated %d objects in steady state", r.round, r.phase, r.mallocs)
+	}
+}
+
+// churnEpoch makes frac of the members leave and as many join through
+// staying sponsors, as experiment E10 does.
+func churnEpoch(nw *Network, r *rng.RNG, frac float64) {
+	members := nw.Members()
+	k := int(frac * float64(len(members)))
+	gone := make(map[sim.NodeID]bool, k)
+	for len(gone) < k {
+		if id := members[r.Intn(len(members))]; !gone[id] {
+			gone[id] = true
+			nw.Leave(id)
+		}
+	}
+	for j := 0; j < k; {
+		if s := members[r.Intn(len(members))]; !gone[s] {
+			nw.Join(s)
+			j++
+		}
+	}
+}
+
+// TestSlotsBoundedUnderChurn runs 300 epochs of 12.5% leave/join churn
+// and checks that the slot-indexed state tracks the live id span, not
+// every id ever issued (which reaches N0 + 300·N0/8 = 38.5·N0). The
+// retirement rule leaves the dead prefix below half the slots, plus a
+// partial word, so after every commit slots < 2·(live span) + 128,
+// where the live span runs from the lowest committed id to the
+// highest issued one.
+func TestSlotsBoundedUnderChurn(t *testing.T) {
+	const n0 = 256
+	nw := New(Config{Seed: 3, N0: n0, MeasureEvery: -1})
+	defer nw.Close()
+	r := rng.New(4)
+	maxSlots := 0
+	for e := 0; e < 300; e++ {
+		churnEpoch(nw, r, 0.125)
+		for nw.Epoch() == e {
+			nw.Step(nil)
+		}
+		slots := len(nw.eng.NodeR)
+		maxSlots = max(maxSlots, slots)
+		span := int(nw.nextID - nw.Members()[0])
+		if slots >= 2*span+128 {
+			t.Fatalf("epoch %d: %d slots for a live span of %d ids", nw.Epoch(), slots, span)
+		}
+		for _, got := range []int{len(nw.eng.NodeGroup), len(nw.eng.ViewEpoch), 64 * len(nw.leaving)} {
+			if got > slots+63 {
+				t.Fatalf("epoch %d: slot state of length %d beside %d slots", nw.Epoch(), got, slots)
+			}
+		}
+	}
+	issued := int(nw.nextID) - 1
+	t.Logf("ids issued %d, max slots %d, final slots %d", issued, maxSlots, len(nw.eng.NodeR))
+	if maxSlots > 16*n0 {
+		t.Fatalf("slot state reached %d slots, bound 16·N0 = %d", maxSlots, 16*n0)
+	}
+}
+
+// TestBlockedCountsRetiredIDs pins Report.Blocked across slot
+// retirement: it counts every blocked id in [1, highest issued] —
+// retired, departed or live — and nothing outside that range, as when
+// every id kept its slot.
+func TestBlockedCountsRetiredIDs(t *testing.T) {
+	nw := New(Config{Seed: 5, N0: 128, MeasureEvery: 1})
+	defer nw.Close()
+	r := rng.New(6)
+	for e := 0; nw.eng.ID(0) == 1; e++ {
+		if e > 200 {
+			t.Fatal("200 epochs of churn never retired a slot")
+		}
+		churnEpoch(nw, r, 0.25)
+		for nw.Epoch() == e {
+			nw.Step(nil)
+		}
+	}
+	issued := nw.nextID - 1
+	base := nw.eng.ID(0) - 1
+	retired := []sim.NodeID{1, base / 2, base}
+	never := []sim.NodeID{0, issued + 1, issued + 1000}
+	live := append([]sim.NodeID{issued}, nw.Members()[:10]...)
+	blocked := map[sim.NodeID]bool{2: false, issued - 1: false} // named, not blocked
+	for _, id := range slices.Concat(retired, never, live) {
+		blocked[id] = true
+	}
+	departed := false
+	for v := base + 1; v < issued && !departed; v++ {
+		if nw.superOf(v) < 0 && !blocked[v] { // departed, slot not yet retired
+			blocked[v] = true
+			departed = true
+		}
+	}
+	if !departed {
+		t.Fatal("no departed id above the retired prefix to block")
+	}
+	const want = 3 + 1 + 11 // retired, departed, live
+	if rep := nw.Step(blocked); rep.Blocked != want {
+		t.Fatalf("Report.Blocked = %d, want %d (ids 1..%d, slots from id %d)", rep.Blocked, want, issued, base+1)
 	}
 }

@@ -23,8 +23,10 @@
 // table that replaces a per-message label search, the coin fill, the
 // reshuffled assignment through the label owners with joiners and
 // leavers, and the split/merge normalization at every commit. Node
-// slots (slot = id−1) are allocated once at Join, since ids grow
-// monotonically, and go dead at the commit after Leave.
+// slots are allocated at Join, since ids grow monotonically, and go
+// dead at the commit after Leave; every commit then retires the dead
+// id prefix (groupsim.Engine.RetireBelow), so the slot state stays
+// bounded by the live id span however long the churn runs.
 package splitmerge
 
 import (
@@ -136,10 +138,10 @@ type Network struct {
 	r      *rng.RNG
 	supers []*super // sorted by label
 
-	// leaving is the global departure set (slot-indexed) with its id
-	// list for the commit sweep. Membership is id-keyed, so one global
-	// set replaces a per-supernode one that splits and merges would
-	// have to copy.
+	// leaving is the global departure set (slot-indexed, like the
+	// engine's slot state) with its id list for the commit sweep.
+	// Membership is id-keyed, so one global set replaces a
+	// per-supernode one that splits and merges would have to copy.
 	leaving    sim.Bitset
 	leavingIDs []sim.NodeID
 
@@ -191,7 +193,7 @@ func New(cfg Config) *Network {
 	}
 	nw.growNodes(cfg.N0)
 	for v := 0; v < cfg.N0; v++ {
-		id := sim.NodeID(v + 1)
+		id := nw.eng.ID(v)
 		nw.eng.NodeR[v] = *nw.r.Split(uint64(id))
 		x := nw.r.Intn(len(nw.supers))
 		nw.supers[x].members = append(nw.supers[x].members, id)
@@ -212,15 +214,38 @@ func (nw *Network) growNodes(n int) {
 	nw.leaving = sim.GrowBitset(nw.leaving, n)
 }
 
+// retire drops the slots of the dead id prefix (see
+// groupsim.Engine.RetireBelow). It runs at the commit, after joiners
+// became members and leavers departed, so the lowest live id is the
+// lowest committed one.
+func (nw *Network) retire() {
+	lo := nw.nextID
+	for v, x := range nw.eng.NodeGroup {
+		if x >= 0 {
+			lo = nw.eng.ID(v)
+			break
+		}
+	}
+	if k := nw.eng.RetireBelow(lo); k > 0 {
+		nw.leaving = sim.DropBitsetPrefix(nw.leaving, k)
+	}
+}
+
 // Close releases the shard worker goroutines; see groupsim.Engine.Close.
 func (nw *Network) Close() { nw.eng.Close() }
 
+// Engine returns the shared group-simulation engine the network runs
+// on, for tests that inspect its state; stepping it directly bypasses
+// the network's bookkeeping.
+func (nw *Network) Engine() *groupsim.Engine { return nw.eng }
+
 // superOf returns the supers index of a committed member, −1 otherwise.
 func (nw *Network) superOf(id sim.NodeID) int32 {
-	if id < 1 || int(id) > len(nw.eng.NodeGroup) {
+	v := nw.eng.Slot(id)
+	if v < 0 || v >= len(nw.eng.NodeGroup) {
 		return -1
 	}
-	return nw.eng.NodeGroup[id-1]
+	return nw.eng.NodeGroup[v]
 }
 
 // N returns the committed member count.
@@ -377,23 +402,24 @@ func (nw *Network) checkMembership() []audit.Violation {
 	}
 	for x, s := range nw.supers {
 		for _, id := range s.members {
-			if id < 1 || int(id) > len(seen) {
+			v := nw.eng.Slot(id)
+			if v < 0 || v >= len(seen) {
 				bad(id, fmt.Sprintf("member id %d outside the allocated slot space", id))
 				continue
 			}
-			if prev := seen[id-1]; prev >= 0 {
+			if prev := seen[v]; prev >= 0 {
 				bad(id, fmt.Sprintf("node %d appears in groups %d and %d", id, prev, x))
 				continue
 			}
-			seen[id-1] = int32(x)
-			if got := nw.eng.NodeGroup[id-1]; got != int32(x) {
+			seen[v] = int32(x)
+			if got := nw.eng.NodeGroup[v]; got != int32(x) {
 				bad(id, fmt.Sprintf("nodeSuper index says %d for node %d, membership says %d", got, id, x))
 			}
 		}
 	}
 	for v := range nw.eng.NodeGroup {
-		if nw.eng.NodeGroup[v] >= 0 && seen[v] < 0 {
-			bad(sim.NodeID(v+1), fmt.Sprintf("node %d indexed but missing from every group", v+1))
+		if id := nw.eng.ID(v); nw.eng.NodeGroup[v] >= 0 && seen[v] < 0 {
+			bad(id, fmt.Sprintf("node %d indexed but missing from every group", id))
 		}
 	}
 	return out
@@ -405,7 +431,7 @@ func (nw *Network) checkMembership() []audit.Violation {
 func (nw *Network) CorruptGroupForTest() {
 	for x, s := range nw.supers {
 		if len(s.members) > 0 {
-			nw.eng.NodeGroup[s.members[0]-1] = int32((x + 1) % len(nw.supers))
+			nw.eng.NodeGroup[nw.eng.Slot(s.members[0])] = int32((x + 1) % len(nw.supers))
 			return
 		}
 	}
@@ -421,9 +447,10 @@ func (nw *Network) Join(sponsor sim.NodeID) sim.NodeID {
 	}
 	id := nw.nextID
 	nw.nextID++
-	nw.growNodes(int(id))
-	nw.eng.NodeR[id-1] = *nw.r.Split(uint64(id))
-	nw.eng.ViewEpoch[id-1] = int32(nw.eng.Epoch)
+	v := nw.eng.Slot(id)
+	nw.growNodes(v + 1)
+	nw.eng.NodeR[v] = *nw.r.Split(uint64(id))
+	nw.eng.ViewEpoch[v] = int32(nw.eng.Epoch)
 	nw.supers[x].pending = append(nw.supers[x].pending, id)
 	return id
 }
@@ -434,8 +461,8 @@ func (nw *Network) Leave(id sim.NodeID) {
 	if nw.superOf(id) < 0 {
 		panic(fmt.Sprintf("splitmerge: leaver %d is not a member", id))
 	}
-	if !nw.leaving.Test(int32(id - 1)) {
-		nw.leaving.Set(int32(id - 1))
+	if v := int32(nw.eng.Slot(id)); !nw.leaving.Test(v) {
+		nw.leaving.Set(v)
 		nw.leavingIDs = append(nw.leavingIDs, id)
 	}
 }
@@ -446,7 +473,7 @@ func (nw *Network) Members() []sim.NodeID {
 	out := make([]sim.NodeID, 0, nw.N())
 	for v, x := range nw.eng.NodeGroup {
 		if x >= 0 {
-			out = append(out, sim.NodeID(v+1))
+			out = append(out, nw.eng.ID(v))
 		}
 	}
 	return out
@@ -609,7 +636,7 @@ func (t *labelTree) Assign(a *groupsim.Acc, si int, r *rng.RNG) {
 	s := t.supers[si]
 	assignees := a.IDs[:0]
 	for _, id := range s.members {
-		if !t.leaving.Test(int32(id - 1)) {
+		if !t.leaving.Test(int32(t.eng.Slot(id))) {
 			assignees = append(assignees, id)
 		}
 	}
@@ -658,7 +685,7 @@ func (t *labelTree) Commit() {
 	for _, id := range nw.leavingIDs {
 		// Departed: the slot goes dead at the reindex below (it was
 		// excluded from every new group); clear the departure mark.
-		nw.leaving.Unset(int32(id - 1))
+		nw.leaving.Unset(int32(nw.eng.Slot(id)))
 	}
 	nw.leavingIDs = nw.leavingIDs[:0]
 	for si, s := range nw.supers {
@@ -668,6 +695,7 @@ func (t *labelTree) Commit() {
 	nw.normalize()
 	nw.indexMembers()
 	nw.eng.NextEpoch(nw.adjacency())
+	nw.retire()
 	nw.prepareEpoch()
 }
 
@@ -719,7 +747,7 @@ func (nw *Network) normalize() {
 				b := &super{label: s.label.Child(1)}
 				var r *rng.RNG
 				if len(s.members) > 0 {
-					r = &nw.eng.NodeR[s.members[0]-1]
+					r = &nw.eng.NodeR[nw.eng.Slot(s.members[0])]
 				} else {
 					r = nw.r
 				}

@@ -70,12 +70,27 @@ func TestConnectedNowOnDemand(t *testing.T) {
 	}
 }
 
+// TestRunPublishesEveryRound checks that Run publishes one snapshot
+// before each of its rounds: a buffer late enough to keep them all
+// holds rounds 0..9, and a 3-late one keeps only the 4 a view can
+// still return and serves round 10 the snapshot of round 7.
 func TestRunPublishesEveryRound(t *testing.T) {
 	nw := New(Config{Seed: 24, N: 128, MeasureEvery: -1})
+	all := &dos.Buffer{Lateness: 10}
+	nw.Run(nil, all, 10)
+	if all.Len() != 10 {
+		t.Fatalf("buffer has %d snapshots, want 10", all.Len())
+	}
+	for r := 10; r < 20; r++ {
+		if v := all.View(r); v == nil || v.Round != r-10 {
+			t.Fatalf("View(%d) = %+v, want the snapshot of round %d", r, v, r-10)
+		}
+	}
+	nw = New(Config{Seed: 24, N: 128, MeasureEvery: -1})
 	buf := &dos.Buffer{Lateness: 3}
 	nw.Run(nil, buf, 10)
-	if buf.Len() != 10 {
-		t.Fatalf("buffer has %d snapshots, want 10", buf.Len())
+	if buf.Len() != 4 {
+		t.Fatalf("3-late buffer retains %d snapshots, want 4", buf.Len())
 	}
 	v := buf.View(10)
 	if v == nil || v.Round != 7 {

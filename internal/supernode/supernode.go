@@ -305,6 +305,11 @@ func (t *kary) Commit() {
 // Close releases the shard worker goroutines; see groupsim.Engine.Close.
 func (nw *Network) Close() { nw.eng.Close() }
 
+// Engine returns the shared group-simulation engine the network runs
+// on, for tests that inspect its state; stepping it directly bypasses
+// the network's bookkeeping.
+func (nw *Network) Engine() *groupsim.Engine { return nw.eng }
+
 // Dim returns the supernode hypercube dimension.
 func (nw *Network) Dim() int { return nw.dim }
 
